@@ -1,7 +1,7 @@
 // Node-thread face-off for replica serving: thread-per-connection
-// (replica_serve_in_background: one demux thread + private pipeline per
-// session) vs the thread-free ReactorReplicaServer (handler-driven demux
-// into one shared set of LBA-striped apply workers).
+// (replica_serve_in_background: one blocking recv() thread per session)
+// vs the thread-free ReactorReplicaServer (handler-driven delivery).  Both
+// feed the replica's one shared set of LBA-striped apply workers.
 //
 // Every cell drives N initiator connections, each streaming windowed
 // PRINS parity deltas (kWrite, ZeroRle-framed) into a fresh 4-shard
@@ -11,13 +11,14 @@
 // thread count tracks the server architecture:
 //
 //   thread-per-conn   O(connections) node threads — each accepted session
-//                     parks a blocking demux thread plus its own workers
+//                     parks a blocking recv() thread
 //   reactor           O(reactor_threads + apply_shards) node threads no
 //                     matter how many initiators are connected
 //
 // "threads" below is the peak `Threads:` value from /proc/self/status
-// during the cell minus the pre-server baseline, i.e. the threads the
-// serving architecture itself costs.  The headline claims are (a) the
+// during the cell minus the baseline sampled before the replica is built,
+// i.e. the threads the serving architecture itself costs (apply workers
+// included).  The headline claims are (a) the
 // reactor sustains >= 64 connections on a handful of node threads and
 // (b) its applies/s at matched connection count stays within ~10% of the
 // threaded baseline — event-driven demux does not tax the apply pipeline.
@@ -58,7 +59,7 @@ constexpr std::uint64_t kWindow = 32;  // outstanding deltas per connection
 
 // Current thread count of this process (the node under test hosts the
 // replica AND the initiators, so cells report deltas from a baseline
-// sampled before their server starts).
+// sampled before their replica is built).
 std::size_t count_threads() {
   std::ifstream status("/proc/self/status");
   std::string line;
@@ -225,11 +226,11 @@ bool run_thread_per_conn(std::shared_ptr<ReactorPool> client_pool,
                          std::size_t conns, std::uint64_t per_conn,
                          CellResult* cell) {
   cell->server = "thread-per-conn";
+  const std::size_t threads_before = count_threads();
   auto replica = fresh_replica();
   auto listener = TcpListener::listen(0);
   if (!listener.is_ok()) return false;
   const std::uint16_t port = (*listener)->port();
-  const std::size_t threads_before = count_threads();
   auto shared_listener = std::shared_ptr<Listener>(std::move(*listener));
   std::thread server = replica_serve_in_background(replica, shared_listener);
 
@@ -244,8 +245,8 @@ bool run_reactor(std::shared_ptr<ReactorPool> client_pool,
                  std::size_t server_loops, std::size_t conns,
                  std::uint64_t per_conn, CellResult* cell) {
   cell->server = "reactor";
-  auto replica = fresh_replica();
   const std::size_t threads_before = count_threads();
+  auto replica = fresh_replica();
   auto server_pool = ReactorPool::create(server_loops);
   if (!server_pool.is_ok()) return false;
   auto server = ReactorReplicaServer::start(replica, *server_pool);

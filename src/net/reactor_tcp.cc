@@ -195,9 +195,14 @@ struct ReactorTcpTransport::Conn : std::enable_shared_from_this<Conn> {
   /// lock to run a handler.
   void deliver_locked(std::unique_lock<std::mutex>& lock, Bytes&& message) {
     if (handler) {
-      auto h = handler;  // survives a concurrent set_message_handler
-      lock.unlock();
-      h(std::move(message));
+      {
+        auto h = handler;  // survives a concurrent set_message_handler
+        lock.unlock();
+        h(std::move(message));
+        // `h` dies here, unlocked: after a concurrent set_message_handler
+        // it may hold the last reference to this connection's transport,
+        // whose destructor takes `mutex` to close it.
+      }
       lock.lock();
       // Handler sends queue without blocking; pause reading while the
       // outbox is over its limit so a slow peer backpressures us.

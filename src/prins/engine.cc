@@ -6,7 +6,6 @@
 #include <cstdlib>
 
 #include "common/crc32c.h"
-#include "common/endian.h"
 #include "common/env.h"
 #include "common/logging.h"
 #include "net/reactor_tcp.h"
@@ -1050,19 +1049,9 @@ Status PrinsEngine::send_entry_locked(ReplicaLink& link, OutMessage& entry) {
     entry.payload = std::move(fresh);
     entry.needs_encode = false;
   }
-  // Scatter-gather framing: the header is encoded on the stack, the payload
-  // frame is the shared pooled buffer, and the trailing CRC chains across
-  // both — byte-identical to ReplicationMessage::encode() without ever
-  // materializing the flat wire copy.
-  Byte header[ReplicationMessage::kWireHeaderSize];
-  entry.meta.encode_header(header, entry.payload.size());
-  std::uint32_t crc = crc32c(ByteSpan(header));
-  crc = crc32c(entry.payload.span(), crc);
-  Byte trailer[4];
-  store_le32(trailer, crc);
-  const ByteSpan parts[] = {ByteSpan(header), entry.payload.span(),
-                            ByteSpan(trailer)};
-  return link.transport->send_vec(parts);
+  // Scatter-gather framing: the payload frame is the shared pooled buffer,
+  // never copied into a flat wire message.
+  return send_framed(*link.transport, entry.meta, entry.payload.span());
 }
 
 void PrinsEngine::convert_to_repair_locked(OutMessage& entry) {

@@ -289,10 +289,10 @@ class PrinsEngine final : public BlockDevice {
 
   /// Fetch one block's contents from the first healthy replica that can
   /// serve it (kReadBlockRequest).  The scrubber's replica-pull repair
-  /// source; also usable directly for ad-hoc recovery.  Call when the
-  /// links are quiet (e.g. after drain()) — a reply in flight on a busy
-  /// link would be misread.  DATA_CORRUPTION if every replica NAK'd the
-  /// block (their copies are damaged too).
+  /// source; also usable directly for ad-hoc recovery.  Safe on busy
+  /// links: each exchange holds its link exclusively (LinkExclusive), so
+  /// no replication reply can be misread as the block.  DATA_CORRUPTION if
+  /// every replica NAK'd the block (their copies are damaged too).
   Status fetch_block_from_replica(Lba lba, MutByteSpan out);
 
   /// Scrub the local device: drain, pause writers, and run one Scrubber

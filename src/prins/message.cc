@@ -4,6 +4,7 @@
 
 #include "common/crc32c.h"
 #include "common/endian.h"
+#include "net/transport.h"
 
 namespace prins {
 namespace {
@@ -112,6 +113,18 @@ Bytes ReplicationMessage::encode() const {
   append(out, payload);
   append_le32(out, crc32c(out));
   return out;
+}
+
+Status send_framed(Transport& transport, const ReplicationMessage& meta,
+                   ByteSpan payload) {
+  Byte header[kHeaderSize];
+  meta.encode_header(header, payload.size());
+  std::uint32_t crc = crc32c(ByteSpan(header));
+  crc = crc32c(payload, crc);
+  Byte trailer[4];
+  store_le32(trailer, crc);
+  const ByteSpan parts[] = {ByteSpan(header), payload, ByteSpan(trailer)};
+  return transport.send_vec(parts);
 }
 
 Result<MessageView> ReplicationMessage::decode_view(ByteSpan wire) {

@@ -18,6 +18,8 @@
 
 namespace prins {
 
+class Transport;
+
 using Lba = std::uint64_t;  // same alias as block/block_device.h
 
 enum class MessageKind : std::uint8_t {
@@ -175,5 +177,12 @@ struct ReplicationMessage {
   /// View of this message (payload aliases this->payload).
   MessageView view() const;
 };
+
+/// Send `meta` with `payload` as one frame, scatter-gather: stack header +
+/// payload span + chained-CRC trailer through Transport::send_vec.  The
+/// peer receives exactly meta.encode() (with `payload` in place of
+/// meta.payload), without the flat copy ever being built.
+Status send_framed(Transport& transport, const ReplicationMessage& meta,
+                   ByteSpan payload);
 
 }  // namespace prins

@@ -1,509 +1,114 @@
 #include "prins/reactor_server.h"
 
 #include <algorithm>
-#include <condition_variable>
-#include <deque>
-#include <thread>
+#include <mutex>
 #include <vector>
 
-#include "common/crc32c.h"
-#include "common/endian.h"
 #include "common/logging.h"
 
 namespace prins {
-namespace {
-
-/// Frame a reply scatter-gather (stack header + payload + chained-CRC
-/// trailer) — the same wire shape as serve()'s reply path.
-Status send_reply_framed(Transport& transport, const ReplicationMessage& meta,
-                         ByteSpan payload) {
-  Byte header[ReplicationMessage::kWireHeaderSize];
-  meta.encode_header(header, payload.size());
-  std::uint32_t crc = crc32c(ByteSpan(header));
-  crc = crc32c(payload, crc);
-  Byte trailer[4];
-  store_le32(trailer, crc);
-  const ByteSpan parts[] = {ByteSpan(header), payload, ByteSpan(trailer)};
-  return transport.send_vec(parts);
-}
-
-bool is_write_kind(MessageKind kind) {
-  return kind == MessageKind::kWrite || kind == MessageKind::kSyncBlock ||
-         kind == MessageKind::kRepairBlock;
-}
-
-}  // namespace
 
 struct ReactorReplicaServer::Impl : std::enable_shared_from_this<Impl> {
-  struct Session;
+  using Session = ReplicaPipeline::Session;
 
-  /// One decoded frame bound for an apply worker.  The view's payload
-  /// aliases `wire` (moving Bytes relocates only the vector header).
-  struct WorkItem {
+  struct Conn {
     std::shared_ptr<Session> session;
-    Bytes wire;
-    MessageView view{};
-    bool control = false;
-    bool client_read = false;  // serve + reply directly, skip the ack path
-  };
-
-  struct ShardQueue {
-    std::mutex m;
-    std::condition_variable cv;
-    std::deque<WorkItem> q;
-    bool closed = false;
-  };
-
-  struct Completion {
-    std::uint64_t sequence = 0;
-    Lba lba = 0;
-    ReplicaEngine::ApplyOutcome outcome = ReplicaEngine::ApplyOutcome::kApplied;
-  };
-
-  struct Session {
-    std::shared_ptr<Transport> transport;
-    ReactorTcpTransport* rt = nullptr;
-
-    std::mutex m;
-    std::size_t in_flight = 0;  // write frames dispatched, not completed
-    bool paused = false;        // reads gated (in-flight cap or control)
-    bool blocked = false;       // control frame awaiting session quiesce
-    bool dead = false;
-    WorkItem pending_control;   // stashed while in_flight drains
-    std::vector<Completion> completions;
-    bool flushing = false;      // one worker at a time drains completions
+    std::shared_ptr<Transport> transport;  // the decorated stack
+    ReactorTcpTransport* rt = nullptr;     // the reactor connection inside
   };
 
   Impl(std::shared_ptr<ReplicaEngine> r, std::shared_ptr<ReactorPool> p,
        const ReactorReplicaServerOptions& opts)
-      : replica(std::move(r)), pool(std::move(p)), options(opts) {
-    if (options.max_in_flight_per_conn == 0) options.max_in_flight_per_conn = 1;
-    if (options.ack_coalesce_max == 0) options.ack_coalesce_max = 1;
-  }
+      : replica(std::move(r)), pool(std::move(p)), options(opts) {}
 
   std::shared_ptr<ReplicaEngine> replica;
   std::shared_ptr<ReactorPool> pool;
   ReactorReplicaServerOptions options;
   std::unique_ptr<ReactorListener> listener;
 
-  std::vector<std::unique_ptr<ShardQueue>> queues;
-  std::vector<std::thread> workers;
-
-  mutable std::mutex sessions_mutex;
-  std::vector<std::shared_ptr<Session>> sessions;
+  mutable std::mutex mutex;
+  std::vector<Conn> live;
+  // Disconnected sessions whose dispatched frames may still be applying;
+  // stop() waits them out.
+  std::vector<std::weak_ptr<Session>> closed;
   bool stopping = false;
-  bool joined = false;
 
-  // ---- accept path (listener loop thread) -----------------------------------
-
-  void on_connect(std::unique_ptr<Transport> transport) {
+  // Listener loop thread.
+  void on_connect(std::unique_ptr<Transport> accepted) {
     if (options.wrap_transport) {
-      transport = options.wrap_transport(std::move(transport));
-      if (transport == nullptr) return;  // decorator rejected the connection
+      accepted = options.wrap_transport(std::move(accepted));
+      if (accepted == nullptr) return;  // decorator rejected the connection
     }
     // The frame fan-in handlers live on the reactor connection inside any
     // decorator stack; replies go out through the decorated transport.
-    auto* rt = dynamic_cast<ReactorTcpTransport*>(transport->underlying());
+    auto* rt = dynamic_cast<ReactorTcpTransport*>(accepted->underlying());
     if (rt == nullptr) {
       PRINS_LOG(kError) << "reactor server: non-reactor transport accepted";
       return;
     }
-    auto session = std::make_shared<Session>();
-    session->transport = std::shared_ptr<Transport>(std::move(transport));
-    session->rt = rt;
+    std::shared_ptr<Transport> transport(std::move(accepted));
+    std::shared_ptr<Session> session;
     {
-      std::lock_guard lock(sessions_mutex);
+      std::lock_guard lock(mutex);
       if (stopping) {
-        session->transport->close();
+        transport->close();
         return;
       }
-      sessions.push_back(session);
+      session = replica->pipeline().open(
+          transport, [rt](bool paused) { rt->set_read_paused(paused); });
+      live.push_back(Conn{session, transport, rt});
     }
     auto self = shared_from_this();
-    rt->set_close_handler([self, session](const Status& why) {
-      self->on_disconnect(session, why);
+    rt->set_close_handler([self, session, rt](const Status& why) {
+      self->on_disconnect(session, rt, why);
     });
-    rt->set_message_handler([self, session](Bytes&& message) {
-      self->on_message(session, std::move(message));
+    rt->set_message_handler([self, session](Bytes&& wire) {
+      self->replica->pipeline().deliver(session, std::move(wire));
     });
   }
 
+  // Connection loop thread; must never block.
   void on_disconnect(const std::shared_ptr<Session>& session,
-                     const Status& why) {
+                     ReactorTcpTransport* rt, const Status& why) {
     if (!why.is_ok() && why.code() != ErrorCode::kUnavailable) {
       PRINS_LOG(kWarn) << "replica session ended: " << why.to_string();
     }
-    {
-      std::lock_guard lock(session->m);
-      session->dead = true;
-      session->pending_control = WorkItem{};  // break session->item cycle
-    }
-    // Drop the handler so the connection's state machine stops referencing
-    // the session (breaks the session->transport->handler->session cycle).
-    session->rt->set_message_handler(nullptr);
-    std::lock_guard lock(sessions_mutex);
-    sessions.erase(std::remove(sessions.begin(), sessions.end(), session),
-                   sessions.end());
+    replica->pipeline().detach(*session);
+    // Drop the handler so the connection stops referencing the session
+    // (breaks the session->transport->handler->session cycle).
+    rt->set_message_handler(nullptr);
+    std::lock_guard lock(mutex);
+    const auto it = std::find_if(live.begin(), live.end(), [&](const Conn& c) {
+      return c.session == session;
+    });
+    if (it == live.end()) return;  // stop() already took it
+    live.erase(it);
+    std::erase_if(closed, [](const auto& weak) { return weak.expired(); });
+    closed.push_back(session);
   }
-
-  // ---- frame fan-in (connection loop thread; must never block) --------------
-
-  void on_message(const std::shared_ptr<Session>& session, Bytes&& wire) {
-    {
-      std::lock_guard lock(replica->mutex_);
-      replica->metrics_.bytes_received += wire.size();
-    }
-    auto msg = ReplicationMessage::decode_view(wire);
-    if (!msg.is_ok()) {
-      // Torn frame: NAK so the primary retransmits (sequence 0 = resend
-      // everything un-acked; dedup absorbs the overlap).
-      {
-        std::lock_guard lock(replica->mutex_);
-        replica->metrics_.naks_sent += 1;
-      }
-      ReplicationMessage nak;
-      nak.kind = MessageKind::kNak;
-      nak.cluster_epoch = replica->cluster_epoch();
-      (void)send_reply_framed(*session->transport, nak, {});
-      return;
-    }
-    const bool client_read = msg->kind == MessageKind::kClientReadRequest;
-    if (is_write_kind(msg->kind) || client_read) {
-      // Client reads pipeline exactly like writes: no session quiesce, just
-      // FIFO order behind same-stripe applies (the freshness check happens
-      // under the stripe's shard lock).
-      {
-        std::lock_guard lock(session->m);
-        if (session->dead) return;
-        ++session->in_flight;
-        if (!session->paused &&
-            session->in_flight >= options.max_in_flight_per_conn) {
-          session->paused = true;
-          session->rt->set_read_paused(true);
-        }
-      }
-      dispatch(WorkItem{session, std::move(wire), *msg, /*control=*/false,
-                        client_read});
-      return;
-    }
-    // Control frame (barrier/verify/hash/hello/read-block): its answer
-    // must observe every prior write on this session.  Pause reads, wait
-    // for the in-flight writes to drain, then apply on a worker.
-    bool dispatch_now;
-    {
-      std::lock_guard lock(session->m);
-      if (session->dead) return;
-      session->blocked = true;
-      if (!session->paused) {
-        session->paused = true;
-        session->rt->set_read_paused(true);
-      }
-      dispatch_now = session->in_flight == 0;
-      if (!dispatch_now) {
-        session->pending_control =
-            WorkItem{session, std::move(wire), *msg, /*control=*/true};
-      }
-    }
-    if (dispatch_now) {
-      dispatch(WorkItem{session, std::move(wire), *msg, /*control=*/true});
-    }
-  }
-
-  void dispatch(WorkItem&& item) {
-    // Control frames all ride stripe 0 — they're rare, and any worker may
-    // serve one (the session is already quiesced).
-    const bool control = item.control;
-    const std::size_t index =
-        control ? 0 : (item.view.lba & (queues.size() - 1));
-    ShardQueue& queue = *queues[index];
-    std::shared_ptr<Session> dropped;
-    std::uint64_t depth = 0;
-    {
-      std::lock_guard lock(queue.m);
-      if (queue.closed) {
-        dropped = item.session;  // stopping: settle the counter below
-      } else {
-        queue.q.push_back(std::move(item));
-        depth = queue.q.size();
-      }
-    }
-    if (dropped) {
-      std::lock_guard lock(dropped->m);
-      if (!control && dropped->in_flight > 0) --dropped->in_flight;
-      return;
-    }
-    queue.cv.notify_one();
-    std::uint64_t peak =
-        replica->apply_queue_peak_.load(std::memory_order_relaxed);
-    while (depth > peak && !replica->apply_queue_peak_.compare_exchange_weak(
-                               peak, depth, std::memory_order_relaxed)) {
-    }
-  }
-
-  // ---- shared apply workers -------------------------------------------------
-
-  void worker_loop(std::size_t index) {
-    ShardQueue& queue = *queues[index];
-    for (;;) {
-      WorkItem item;
-      {
-        std::unique_lock lock(queue.m);
-        queue.cv.wait(lock, [&] { return !queue.q.empty() || queue.closed; });
-        if (queue.q.empty()) break;  // closed and drained
-        item = std::move(queue.q.front());
-        queue.q.pop_front();
-      }
-      if (item.control) {
-        run_control(item);
-      } else if (item.client_read) {
-        run_client_read(item);
-      } else {
-        run_write(item);
-      }
-    }
-  }
-
-  void run_write(WorkItem& item) {
-    auto& session = *item.session;
-    auto outcome = replica->apply_write_message(item.view);
-    bool flush = false;
-    bool release_control = false;
-    {
-      std::lock_guard lock(session.m);
-      --session.in_flight;
-      if (outcome.is_ok()) {
-        session.completions.push_back(
-            Completion{item.view.sequence, item.view.lba, *outcome});
-        if (!session.flushing) {
-          session.flushing = true;
-          flush = true;
-        }
-      }
-      maybe_resume_locked(session);
-      if (session.blocked && session.in_flight == 0 &&
-          session.pending_control.session != nullptr) {
-        release_control = true;
-      }
-    }
-    if (!outcome.is_ok()) {
-      // A device/session-fatal error ends the connection, exactly as a
-      // serve() session would end with the error.
-      PRINS_LOG(kWarn) << "replica apply failed: "
-                       << outcome.status().to_string();
-      session.transport->close();
-    }
-    if (flush) flush_acks(item.session);
-    if (release_control) {
-      WorkItem control;
-      {
-        std::lock_guard lock(session.m);
-        control = std::move(session.pending_control);
-        session.pending_control = WorkItem{};
-      }
-      if (control.session != nullptr) dispatch(std::move(control));
-    }
-  }
-
-  void run_client_read(WorkItem& item) {
-    auto& session = *item.session;
-    auto reply = replica->serve_client_read(item.view);
-    if (reply.is_ok()) {
-      Status sent =
-          send_reply_framed(*session.transport, *reply, reply->payload);
-      if (!sent.is_ok() && sent.code() != ErrorCode::kUnavailable) {
-        PRINS_LOG(kWarn) << "replica read reply send failed: "
-                         << sent.to_string();
-      }
-    } else {
-      PRINS_LOG(kWarn) << "replica client read failed: "
-                       << reply.status().to_string();
-      session.transport->close();
-    }
-    bool release_control = false;
-    {
-      std::lock_guard lock(session.m);
-      --session.in_flight;
-      maybe_resume_locked(session);
-      if (session.blocked && session.in_flight == 0 &&
-          session.pending_control.session != nullptr) {
-        release_control = true;
-      }
-    }
-    if (release_control) {
-      WorkItem control;
-      {
-        std::lock_guard lock(session.m);
-        control = std::move(session.pending_control);
-        session.pending_control = WorkItem{};
-      }
-      if (control.session != nullptr) dispatch(std::move(control));
-    }
-  }
-
-  void run_control(WorkItem& item) {
-    auto& session = *item.session;
-    auto reply = replica->apply_view(item.view);
-    if (reply.is_ok()) {
-      Status sent =
-          send_reply_framed(*session.transport, *reply, reply->payload);
-      if (!sent.is_ok() && sent.code() != ErrorCode::kUnavailable) {
-        PRINS_LOG(kWarn) << "replica reply send failed: " << sent.to_string();
-      }
-    } else {
-      PRINS_LOG(kWarn) << "replica control apply failed: "
-                       << reply.status().to_string();
-      session.transport->close();
-    }
-    std::lock_guard lock(session.m);
-    session.blocked = false;
-    maybe_resume_locked(session);
-  }
-
-  /// Resume a paused session's reads once it is neither quiescing for a
-  /// control frame nor over half its in-flight cap.  `session.m` held.
-  void maybe_resume_locked(Session& session) {
-    if (!session.paused || session.blocked || session.dead) return;
-    if (session.in_flight > options.max_in_flight_per_conn / 2) return;
-    session.paused = false;
-    session.rt->set_read_paused(false);
-  }
-
-  // ---- ack path (combining lock: completions coalesce under load) -----------
-
-  void flush_acks(const std::shared_ptr<Session>& session) {
-    std::vector<Completion> batch;
-    for (;;) {
-      {
-        std::lock_guard lock(session->m);
-        if (session->completions.empty()) {
-          session->flushing = false;
-          return;
-        }
-        batch.swap(session->completions);
-      }
-      for (std::size_t off = 0; off < batch.size();
-           off += options.ack_coalesce_max) {
-        const std::size_t n =
-            std::min(options.ack_coalesce_max, batch.size() - off);
-        Status sent = send_ack_chunk(*session, batch.data() + off, n);
-        if (!sent.is_ok()) {
-          // Peer hangup is a clean end (the close handler reaps the
-          // session); anything else was already logged.
-          break;
-        }
-      }
-      batch.clear();
-    }
-  }
-
-  Status send_ack_chunk(Session& session, const Completion* completions,
-                        std::size_t count) {
-    std::vector<std::uint64_t> acked;
-    acked.reserve(count);
-    Lba last_lba = 0;
-    std::uint64_t newest = 0;
-    Status sent = Status::ok();
-    for (std::size_t i = 0; i < count; ++i) {
-      const Completion& c = completions[i];
-      if (c.outcome == ReplicaEngine::ApplyOutcome::kApplied) {
-        acked.push_back(c.sequence);
-        if (c.sequence >= newest) {
-          newest = c.sequence;
-          last_lba = c.lba;
-        }
-        continue;
-      }
-      // NAKs stay individual so the primary matches each to its entry.
-      ReplicationMessage nak;
-      nak.kind = MessageKind::kNak;
-      nak.cluster_epoch = replica->cluster_epoch();
-      nak.sequence = c.sequence;
-      nak.lba = c.lba;
-      Byte reason = static_cast<Byte>(NakReason::kNeedFullBlock);
-      ByteSpan payload;
-      if (c.outcome == ReplicaEngine::ApplyOutcome::kNakFullBlock) {
-        payload = ByteSpan(&reason, 1);
-      } else if (c.outcome == ReplicaEngine::ApplyOutcome::kNakStaleEpoch) {
-        reason = static_cast<Byte>(NakReason::kStaleEpoch);
-        payload = ByteSpan(&reason, 1);
-      }
-      sent = send_reply_framed(*session.transport, nak, payload);
-      if (!sent.is_ok()) break;
-    }
-    if (sent.is_ok() && acked.size() == 1) {
-      // A lone completion acks plainly — byte-compatible with the
-      // one-frame-at-a-time resync and heal exchanges.
-      ReplicationMessage ack;
-      ack.kind = MessageKind::kAck;
-      ack.cluster_epoch = replica->cluster_epoch();
-      ack.sequence = acked[0];
-      ack.lba = last_lba;
-      sent = send_reply_framed(*session.transport, ack, {});
-    } else if (sent.is_ok() && acked.size() > 1) {
-      const std::vector<AckRange> ranges = coalesce_ack_ranges(acked);
-      Bytes payload;
-      payload.reserve(4 + ranges.size() * 12);
-      append_le32(payload, static_cast<std::uint32_t>(ranges.size()));
-      for (const AckRange& range : ranges) {
-        append_le64(payload, range.first_sequence);
-        append_le32(payload, range.count);
-      }
-      ReplicationMessage ack;
-      ack.kind = MessageKind::kAckBatch;
-      ack.cluster_epoch = replica->cluster_epoch();
-      ack.sequence = newest;
-      ack.lba = last_lba;
-      sent = send_reply_framed(*session.transport, ack, payload);
-      if (sent.is_ok()) {
-        std::lock_guard lock(replica->mutex_);
-        replica->metrics_.ack_batches += 1;
-        replica->metrics_.acks_batched += acked.size();
-      }
-    }
-    if (!sent.is_ok() && sent.code() != ErrorCode::kUnavailable) {
-      PRINS_LOG(kWarn) << "replica ack send failed: " << sent.to_string();
-    }
-    return sent;
-  }
-
-  // ---- lifecycle ------------------------------------------------------------
 
   void stop() {
-    std::vector<std::shared_ptr<Session>> snapshot;
+    std::vector<Conn> conns;
+    std::vector<std::weak_ptr<Session>> draining;
     {
-      std::lock_guard lock(sessions_mutex);
-      if (stopping) {
-        if (joined) return;
-      }
+      std::lock_guard lock(mutex);
+      if (stopping) return;
       stopping = true;
-      snapshot.swap(sessions);
+      conns.swap(live);
+      draining.swap(closed);
     }
     if (listener) listener->close();
-    for (auto& session : snapshot) {
-      session->rt->set_close_handler(nullptr);
-      session->rt->set_message_handler(nullptr);
-      {
-        std::lock_guard lock(session->m);
-        session->dead = true;
-        session->pending_control = WorkItem{};
+    for (Conn& conn : conns) {
+      conn.rt->set_close_handler(nullptr);
+      conn.rt->set_message_handler(nullptr);
+      replica->pipeline().detach(*conn.session);
+      conn.transport->close();
+    }
+    for (Conn& conn : conns) (void)replica->pipeline().finish(*conn.session);
+    for (const auto& weak : draining) {
+      if (auto session = weak.lock()) {
+        (void)replica->pipeline().finish(*session);
       }
-      session->transport->close();
-    }
-    for (auto& queue : queues) {
-      std::lock_guard lock(queue->m);
-      queue->closed = true;
-      queue->cv.notify_all();
-    }
-    bool join_here = false;
-    {
-      std::lock_guard lock(sessions_mutex);
-      if (!joined) {
-        joined = true;
-        join_here = true;
-      }
-    }
-    if (join_here) {
-      for (std::thread& worker : workers) worker.join();
     }
   }
 };
@@ -522,16 +127,6 @@ Result<std::unique_ptr<ReactorReplicaServer>> ReactorReplicaServer::start(
   PRINS_ASSIGN_OR_RETURN(
       impl->listener,
       ReactorListener::listen(impl->pool, options.port, options.transport));
-  const std::size_t nshards = impl->replica->apply_shards();
-  impl->queues.reserve(nshards);
-  for (std::size_t i = 0; i < nshards; ++i) {
-    impl->queues.push_back(std::make_unique<Impl::ShardQueue>());
-  }
-  impl->workers.reserve(nshards);
-  for (std::size_t i = 0; i < nshards; ++i) {
-    impl->workers.emplace_back(
-        [impl, i] { impl->worker_loop(i); });
-  }
   impl->listener->set_accept_handler(
       [weak = std::weak_ptr<Impl>(impl)](std::unique_ptr<Transport> t) {
         if (auto self = weak.lock()) self->on_connect(std::move(t));
@@ -547,8 +142,8 @@ std::uint16_t ReactorReplicaServer::port() const {
 }
 
 std::size_t ReactorReplicaServer::sessions() const {
-  std::lock_guard lock(impl_->sessions_mutex);
-  return impl_->sessions.size();
+  std::lock_guard lock(impl_->mutex);
+  return impl_->live.size();
 }
 
 }  // namespace prins

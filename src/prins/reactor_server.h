@@ -1,36 +1,14 @@
 // ReactorReplicaServer: thread-free replica serving on the reactor.
 //
-// serve() (replica.h) parks one demux thread per connection plus a private
-// worker/ack pipeline per session.  This server inverts that: every
-// accepted connection's frame loop runs as a `set_message_handler`
-// callback on its reactor loop thread, demuxing straight into ONE shared
-// set of LBA-striped apply workers.  Node thread count is
-// O(reactor_threads + apply_shards) no matter how many initiators are
-// connected — the property the PRINS pipeline needs to serve many
-// primaries (and the multi-primary cluster of ROADMAP item 2) without a
-// thread explosion.
-//
-//   loop thread    decode_view once; write-kind frames dispatch to the
-//                  shard queue for their LBA stripe (same stripe invariant
-//                  as serve(): same-block XOR deltas stay ordered);
-//                  torn frames NAK inline (send never blocks on-loop)
-//   apply workers  one per apply shard, shared by every connection; each
-//                  apply's completion lands in the session's ack buffer
-//   ack path       whichever worker finds the buffer un-flushed drains it
-//                  (a combining lock): under load completions pile up and
-//                  coalesce into cumulative kAckBatch frames, when idle
-//                  each ack goes out immediately
-//
-// Backpressure is per connection, not per queue: the handler must never
-// block, so instead of a bounded-queue wait the server pauses the
-// connection's reads (set_read_paused) once its in-flight frames hit
-// max_in_flight_per_conn, resuming at half.  Control frames (barrier,
-// verify, hash, hello, read-block) pause reads and wait for the session's
-// in-flight writes to drain before applying — the same quiesce-then-apply
-// contract as serve(), scoped to the session.
-//
-// The blocking serve() path remains for non-reactor transports; the two
-// are wire-identical.
+// The handler-driven front end of the replica's apply pipeline
+// (ReplicaPipeline, replica.h).  Every accepted connection becomes one
+// pipeline session: its frames arrive as `set_message_handler` callbacks on
+// the reactor loop thread and go straight to deliver(), which never blocks;
+// the session's pause hook is the connection's set_read_paused.  Node
+// thread count is O(reactor_threads + apply_shards) no matter how many
+// initiators are connected — the property the PRINS pipeline needs to
+// serve many primaries without a thread explosion.  serve() is the same
+// pipeline behind a blocking recv() loop; the two are wire-identical.
 #pragma once
 
 #include <cstdint>
@@ -54,18 +32,12 @@ struct ReactorReplicaServerOptions {
   /// while frame fan-in stays handler-driven.
   std::function<std::unique_ptr<Transport>(std::unique_ptr<Transport>)>
       wrap_transport;
-  /// Write frames a connection may have dispatched-but-unacked before its
-  /// reads pause (resumes at half).  Bounds queued work per initiator.
-  std::size_t max_in_flight_per_conn = 128;
-  /// Max completions folded into one ack frame, as ReplicaConfig's knob.
-  std::size_t ack_coalesce_max = 64;
 };
 
 class ReactorReplicaServer {
  public:
   /// Bind a ReactorListener on `pool` and serve `replica` to every
-  /// connection, handler-driven.  Runs replica->apply_shards() shared
-  /// apply workers.
+  /// connection, handler-driven, through replica->pipeline().
   static Result<std::unique_ptr<ReactorReplicaServer>> start(
       std::shared_ptr<ReplicaEngine> replica,
       std::shared_ptr<ReactorPool> pool,
@@ -76,8 +48,9 @@ class ReactorReplicaServer {
   ReactorReplicaServer(const ReactorReplicaServer&) = delete;
   ReactorReplicaServer& operator=(const ReactorReplicaServer&) = delete;
 
-  /// Close the listener and every live connection, drain the apply
-  /// workers, and join them.  Idempotent; the destructor calls it.
+  /// Close the listener and every live connection, and wait until every
+  /// frame its sessions dispatched has applied.  Idempotent; the
+  /// destructor calls it.
   void stop();
 
   /// The bound port (for initiators to connect to).

@@ -4,11 +4,12 @@
 #include <condition_variable>
 #include <cstdlib>
 #include <map>
+#include <optional>
 #include <thread>
+#include <utility>
 
 #include "block/cached_disk.h"
 #include "codec/codec.h"
-#include "common/buffer_pool.h"
 #include "common/crc32c.h"
 #include "common/endian.h"
 #include "common/env.h"
@@ -33,21 +34,6 @@ std::size_t resolve_apply_shards(std::size_t requested) {
   return pow2;
 }
 
-/// Frame a reply scatter-gather (stack header + payload span + chained-CRC
-/// trailer), the same shape as the primary's send_entry path: no flat
-/// encode, no contiguous copy.
-Status send_framed(Transport& transport, const ReplicationMessage& meta,
-                   ByteSpan payload) {
-  Byte header[ReplicationMessage::kWireHeaderSize];
-  meta.encode_header(header, payload.size());
-  std::uint32_t crc = crc32c(ByteSpan(header));
-  crc = crc32c(payload, crc);
-  Byte trailer[4];
-  store_le32(trailer, crc);
-  const ByteSpan parts[] = {ByteSpan(header), payload, ByteSpan(trailer)};
-  return transport.send_vec(parts);
-}
-
 bool is_write_kind(MessageKind kind) {
   return kind == MessageKind::kWrite || kind == MessageKind::kSyncBlock ||
          kind == MessageKind::kRepairBlock;
@@ -60,7 +46,6 @@ ReplicaEngine::ReplicaEngine(std::shared_ptr<BlockDevice> local,
     : local_(std::move(local)), config_(config),
       cluster_epoch_(config.cluster_epoch) {
   config_.apply_shards = resolve_apply_shards(config_.apply_shards);
-  if (config_.apply_queue_capacity == 0) config_.apply_queue_capacity = 1;
   if (config_.ack_coalesce_max == 0) config_.ack_coalesce_max = 1;
   shards_.reserve(config_.apply_shards);
   for (std::size_t i = 0; i < config_.apply_shards; ++i) {
@@ -74,205 +59,34 @@ ReplicaEngine::ReplicaEngine(std::shared_ptr<BlockDevice> local,
   } else {
     apply_dev_ = local_;
   }
+  pipeline_ = std::make_unique<ReplicaPipeline>(*this);
 }
 
 ReplicaEngine::~ReplicaEngine() = default;
 
 Status ReplicaEngine::serve(Transport& transport) {
-  // ---- Pipeline plumbing, all scoped to this connection. ----------------
-  struct WorkItem {
-    Bytes wire;        // owning buffer; view.payload aliases it
-    MessageView view;
-    bool client_read = false;  // serve + reply directly, skip the ack stage
-  };
-  struct ShardQueue {
-    std::mutex m;
-    std::condition_variable cv;
-    std::deque<WorkItem> q;
-    bool closed = false;
-  };
-  struct Completion {
-    std::uint64_t sequence = 0;
-    Lba lba = 0;
-    ApplyOutcome outcome = ApplyOutcome::kApplied;
-  };
-  struct AckQueue {
-    std::mutex m;
-    std::condition_variable cv;
-    std::deque<Completion> q;
-    bool closed = false;
-  };
-
-  const std::size_t nshards = shards_.size();
-  std::vector<ShardQueue> queues(nshards);
-  AckQueue acks;
-  std::mutex send_mutex;          // one reply frame on the wire at a time
-  std::mutex error_mutex;
-  Status session_error;           // first fatal error from any stage
-  std::atomic<std::size_t> in_flight{0};  // dispatched, not yet completed
-  std::mutex idle_mutex;
-  std::condition_variable idle_cv;
-
-  auto fail_session = [&](const Status& s) {
-    {
-      std::lock_guard lock(error_mutex);
-      if (session_error.is_ok()) session_error = s;
-    }
-    transport.close();  // wake the demux stage out of recv()
-  };
-
-  auto send_reply = [&](const ReplicationMessage& meta, ByteSpan payload) {
-    std::lock_guard lock(send_mutex);
-    return send_framed(transport, meta, payload);
-  };
-
-  // ---- Apply workers: one per LBA stripe, FIFO per stripe. --------------
-  auto worker_loop = [&](std::size_t index) {
-    ShardQueue& queue = queues[index];
-    for (;;) {
-      WorkItem item;
-      {
-        std::unique_lock lock(queue.m);
-        queue.cv.wait(lock, [&] { return !queue.q.empty() || queue.closed; });
-        if (queue.q.empty()) break;  // closed and drained
-        item = std::move(queue.q.front());
-        queue.q.pop_front();
-      }
-      queue.cv.notify_all();  // demux may be blocked on capacity
-      if (item.client_read) {
-        // Client reads ride the shard queue (FIFO behind same-stripe
-        // applies, shard-lock-atomic device read) but reply directly —
-        // their answer is a block, not an ack, and must not be coalesced.
-        auto reply = serve_client_read(item.view);
-        Status sent = reply.is_ok() ? send_reply(*reply, reply->payload)
-                                    : reply.status();
-        if (!sent.is_ok() && sent.code() != ErrorCode::kUnavailable) {
-          fail_session(sent);
-        }
-      } else {
-        auto outcome = apply_write_message(item.view);
-        if (outcome.is_ok()) {
-          {
-            std::lock_guard lock(acks.m);
-            acks.q.push_back(
-                Completion{item.view.sequence, item.view.lba, *outcome});
-          }
-          acks.cv.notify_one();
-        } else {
-          fail_session(outcome.status());
-        }
-      }
-      if (in_flight.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-        std::lock_guard lock(idle_mutex);
-        idle_cv.notify_all();
-      }
-    }
-  };
-
-  // ---- Ack stage: coalesce completions into cumulative ack frames. ------
-  auto ack_loop = [&] {
-    BufferPool payload_pool(4 + config_.ack_coalesce_max * 12, 4);
-    std::vector<Completion> batch;
-    std::vector<std::uint64_t> acked;
-    for (;;) {
-      batch.clear();
-      {
-        std::unique_lock lock(acks.m);
-        acks.cv.wait(lock, [&] { return !acks.q.empty() || acks.closed; });
-        if (acks.q.empty()) break;  // closed and drained
-        const std::size_t take =
-            std::min(acks.q.size(), config_.ack_coalesce_max);
-        for (std::size_t i = 0; i < take; ++i) {
-          batch.push_back(acks.q.front());
-          acks.q.pop_front();
-        }
-      }
-      acked.clear();
-      Lba last_lba = 0;
-      std::uint64_t newest = 0;
-      Status sent = Status::ok();
-      for (const Completion& c : batch) {
-        if (c.outcome == ApplyOutcome::kApplied) {
-          acked.push_back(c.sequence);
-          if (c.sequence >= newest) {
-            newest = c.sequence;
-            last_lba = c.lba;
-          }
-          continue;
-        }
-        // NAKs are the holes: they stay individual frames so the primary
-        // can match each to its entry (and read the reason byte).
-        ReplicationMessage nak;
-        nak.kind = MessageKind::kNak;
-        nak.cluster_epoch = cluster_epoch();
-        nak.sequence = c.sequence;
-        nak.lba = c.lba;
-        Byte reason = static_cast<Byte>(NakReason::kNeedFullBlock);
-        ByteSpan payload;
-        if (c.outcome == ApplyOutcome::kNakFullBlock) {
-          payload = ByteSpan(&reason, 1);
-        } else if (c.outcome == ApplyOutcome::kNakStaleEpoch) {
-          reason = static_cast<Byte>(NakReason::kStaleEpoch);
-          payload = ByteSpan(&reason, 1);
-        }
-        sent = send_reply(nak, payload);
-        if (!sent.is_ok()) break;
-      }
-      if (sent.is_ok() && acked.size() == 1) {
-        // A lone completion acks plainly — byte-compatible with the
-        // one-frame-at-a-time resync and heal exchanges.
-        ReplicationMessage ack;
-        ack.kind = MessageKind::kAck;
-        ack.cluster_epoch = cluster_epoch();
-        ack.sequence = acked[0];
-        ack.lba = last_lba;
-        sent = send_reply(ack, {});
-      } else if (sent.is_ok() && acked.size() > 1) {
-        const std::vector<AckRange> ranges = coalesce_ack_ranges(acked);
-        PooledBuffer payload = payload_pool.acquire(0);
-        Bytes& bytes = payload.mutable_bytes();
-        bytes.clear();
-        append_le32(bytes, static_cast<std::uint32_t>(ranges.size()));
-        for (const AckRange& range : ranges) {
-          append_le64(bytes, range.first_sequence);
-          append_le32(bytes, range.count);
-        }
-        ReplicationMessage ack;
-        ack.kind = MessageKind::kAckBatch;
-        ack.cluster_epoch = cluster_epoch();
-        ack.sequence = newest;
-        ack.lba = last_lba;
-        sent = send_reply(ack, bytes);
-        if (sent.is_ok()) {
-          std::lock_guard lock(mutex_);
-          metrics_.ack_batches += 1;
-          metrics_.acks_batched += acked.size();
-        }
-      }
-      if (!sent.is_ok()) {
-        // The peer hanging up mid-ack is a clean end of session (the demux
-        // sees the same close); anything else is fatal.
-        if (sent.code() != ErrorCode::kUnavailable) fail_session(sent);
-        break;
-      }
-    }
-  };
-
-  std::vector<std::thread> workers;
-  workers.reserve(nshards);
-  for (std::size_t i = 0; i < nshards; ++i) workers.emplace_back(worker_loop, i);
-  std::thread ack_thread(ack_loop);
-
-  auto quiesce = [&] {
-    std::unique_lock lock(idle_mutex);
-    idle_cv.wait(lock, [&] {
-      return in_flight.load(std::memory_order_acquire) == 0;
-    });
-  };
-
-  // ---- Demux stage: decode once, stripe by LBA. -------------------------
+  // The recv() loop is this session's front end.  It never waits on an
+  // apply, so it keeps draining the primary's frames while a worker is
+  // blocked sending that primary an ack; the pipeline's pause hook holds it
+  // before the next recv() instead (in-flight cap, or a control frame
+  // waiting for the session to quiesce).
+  std::mutex gate_mutex;
+  std::condition_variable gate_cv;
+  bool paused = false;
+  auto session = pipeline_->open(
+      // Not owned: finish() below outlives every use the pipeline makes.
+      std::shared_ptr<Transport>(&transport, [](Transport*) {}),
+      [&](bool pause) {
+        std::lock_guard lock(gate_mutex);
+        paused = pause;
+        gate_cv.notify_all();
+      });
   Status result = Status::ok();
   for (;;) {
+    {
+      std::unique_lock lock(gate_mutex);
+      gate_cv.wait(lock, [&] { return !paused; });
+    }
     auto wire = transport.recv();
     if (!wire.is_ok()) {
       if (wire.status().code() != ErrorCode::kUnavailable) {
@@ -280,78 +94,9 @@ Status ReplicaEngine::serve(Transport& transport) {
       }
       break;
     }
-    {
-      std::lock_guard lock(mutex_);
-      metrics_.bytes_received += wire->size();
-    }
-    auto msg = ReplicationMessage::decode_view(*wire);
-    if (!msg.is_ok()) {
-      // A torn frame is the link's fault, not the session's: NAK so the
-      // primary retransmits.  Sequence 0 = "couldn't even read the header";
-      // the primary resends everything un-acked and dedup absorbs overlap.
-      {
-        std::lock_guard lock(mutex_);
-        metrics_.naks_sent += 1;
-      }
-      ReplicationMessage nak;
-      nak.kind = MessageKind::kNak;
-      nak.cluster_epoch = cluster_epoch();
-      if (Status s = send_reply(nak, {}); !s.is_ok()) {
-        result = s;
-        break;
-      }
-      continue;
-    }
-    const bool client_read = msg->kind == MessageKind::kClientReadRequest;
-    if (is_write_kind(msg->kind) || client_read) {
-      // Moving the owning Bytes relocates the vector header only; the heap
-      // bytes the view's payload aliases stay put.
-      ShardQueue& queue = queues[msg->lba & (nshards - 1)];
-      std::unique_lock lock(queue.m);
-      queue.cv.wait(lock, [&] {
-        return queue.q.size() < config_.apply_queue_capacity;
-      });
-      in_flight.fetch_add(1, std::memory_order_acq_rel);
-      queue.q.push_back(WorkItem{std::move(*wire), *msg, client_read});
-      const std::uint64_t depth = queue.q.size();
-      lock.unlock();
-      queue.cv.notify_all();
-      std::uint64_t peak = apply_queue_peak_.load(std::memory_order_relaxed);
-      while (depth > peak && !apply_queue_peak_.compare_exchange_weak(
-                                 peak, depth, std::memory_order_relaxed)) {
-      }
-      continue;
-    }
-    // Barriers, verifies, hashes, hellos, read-blocks: rare control frames
-    // whose answers must observe every prior write — drain the pipeline,
-    // then handle inline.
-    quiesce();
-    auto reply = apply_view(*msg);
-    if (!reply.is_ok()) {
-      result = reply.status();
-      break;
-    }
-    if (Status s = send_reply(*reply, reply->payload); !s.is_ok()) {
-      result = s;
-      break;
-    }
+    pipeline_->deliver(session, std::move(*wire));
   }
-
-  // ---- Teardown: drain workers, then the ack stage. ---------------------
-  for (ShardQueue& queue : queues) {
-    std::lock_guard lock(queue.m);
-    queue.closed = true;
-    queue.cv.notify_all();
-  }
-  for (std::thread& worker : workers) worker.join();
-  {
-    std::lock_guard lock(acks.m);
-    acks.closed = true;
-    acks.cv.notify_all();
-  }
-  ack_thread.join();
-
-  std::lock_guard lock(error_mutex);
+  const Status session_error = pipeline_->finish(*session);
   return session_error.is_ok() ? result : session_error;
 }
 
@@ -906,6 +651,368 @@ ReplicaMetrics ReplicaEngine::metrics() const {
 
 std::uint64_t ReplicaEngine::applied_timestamp() const {
   return applied_timestamp_us_.load(std::memory_order_acquire);
+}
+
+// ---- ReplicaPipeline ------------------------------------------------------
+
+struct ReplicaPipeline::WorkItem {
+  enum class Kind : std::uint8_t { kWrite, kClientRead, kControl };
+  std::shared_ptr<Session> session;
+  Bytes wire;  // owning buffer; view.payload aliases it
+  MessageView view{};
+  Kind kind = Kind::kWrite;
+};
+
+struct ReplicaPipeline::ShardQueue {
+  std::mutex m;
+  std::condition_variable cv;
+  std::deque<WorkItem> q;
+  bool closed = false;
+};
+
+struct ReplicaPipeline::Completion {
+  std::uint64_t sequence = 0;
+  Lba lba = 0;
+  ReplicaEngine::ApplyOutcome outcome = ReplicaEngine::ApplyOutcome::kApplied;
+};
+
+struct ReplicaPipeline::Session {
+  std::shared_ptr<Transport> transport;
+  std::function<void(bool)> pause;
+  std::mutex send_mutex;  // one reply frame on the wire at a time
+
+  std::mutex m;
+  std::condition_variable idle_cv;
+  std::size_t in_flight = 0;  // writes + client reads dispatched, not done
+  bool paused = false;        // front end told to stop delivering
+  bool blocked = false;       // a control frame is waiting or running
+  bool flushing = false;      // a worker is draining `completions`
+  bool detached = false;      // front end delivers nothing more
+  std::optional<WorkItem> pending_control;  // waits for in_flight == 0
+  std::vector<Completion> completions;
+  Status error;  // first fatal error
+
+  bool idle() const { return in_flight == 0 && !blocked && !flushing; }
+
+  /// `m` held: resume the front end once the session is neither waiting
+  /// on a control frame nor over half its in-flight cap.
+  void maybe_resume() {
+    if (!paused || blocked || detached) return;
+    if (in_flight > kMaxInFlight / 2) return;
+    paused = false;
+    pause(false);
+  }
+
+  /// `m` held: wake finish() if nothing is left in flight.
+  void notify_if_idle() {
+    if (idle()) idle_cv.notify_all();
+  }
+};
+
+ReplicaPipeline::ReplicaPipeline(ReplicaEngine& replica) : replica_(replica) {
+  const std::size_t nshards = replica_.apply_shards();
+  queues_.reserve(nshards);
+  workers_.reserve(nshards);
+  for (std::size_t i = 0; i < nshards; ++i) {
+    queues_.push_back(std::make_unique<ShardQueue>());
+  }
+  for (std::size_t i = 0; i < nshards; ++i) {
+    workers_.emplace_back([this, queue = queues_[i].get()] {
+      worker_loop(*queue);
+    });
+  }
+}
+
+ReplicaPipeline::~ReplicaPipeline() {
+  for (auto& queue : queues_) {
+    std::lock_guard lock(queue->m);
+    queue->closed = true;
+    queue->cv.notify_all();
+  }
+  for (std::thread& worker : workers_) worker.join();
+}
+
+std::shared_ptr<ReplicaPipeline::Session> ReplicaPipeline::open(
+    std::shared_ptr<Transport> transport, std::function<void(bool)> pause) {
+  auto session = std::make_shared<Session>();
+  session->transport = std::move(transport);
+  session->pause = std::move(pause);
+  return session;
+}
+
+void ReplicaPipeline::deliver(const std::shared_ptr<Session>& session,
+                              Bytes&& wire) {
+  {
+    std::lock_guard lock(replica_.mutex_);
+    replica_.metrics_.bytes_received += wire.size();
+  }
+  auto msg = ReplicationMessage::decode_view(wire);
+  if (!msg.is_ok()) {
+    // A torn frame is the link's fault, not the session's: NAK so the
+    // primary retransmits.  Sequence 0 = "couldn't even read the header";
+    // the primary resends everything un-acked and dedup absorbs overlap.
+    {
+      std::lock_guard lock(replica_.mutex_);
+      replica_.metrics_.naks_sent += 1;
+    }
+    ReplicationMessage nak;
+    nak.kind = MessageKind::kNak;
+    nak.cluster_epoch = replica_.cluster_epoch();
+    answer(*session, nak);
+    return;
+  }
+  using Kind = WorkItem::Kind;
+  const Kind kind = is_write_kind(msg->kind) ? Kind::kWrite
+                    : msg->kind == MessageKind::kClientReadRequest
+                        ? Kind::kClientRead
+                        : Kind::kControl;
+  // Moving the owning Bytes relocates the vector header only; the heap
+  // bytes the view's payload aliases stay put.
+  WorkItem item{session, std::move(wire), *msg, kind};
+  {
+    std::lock_guard lock(session->m);
+    if (session->detached) return;
+    if (kind != Kind::kControl) {
+      // Client reads pipeline exactly like writes: no session quiesce,
+      // just FIFO order behind same-stripe applies (the freshness check
+      // runs under the stripe's shard lock).
+      ++session->in_flight;
+      if (!session->paused && session->in_flight >= kMaxInFlight) {
+        session->paused = true;
+        session->pause(true);
+      }
+    } else {
+      // Barriers, verifies, hashes, hellos, read-blocks, leases: rare
+      // control frames whose answers must observe every earlier write on
+      // this session.  Pause the front end; apply once in-flight drains.
+      session->blocked = true;
+      if (!session->paused) {
+        session->paused = true;
+        session->pause(true);
+      }
+      if (session->in_flight > 0) {
+        session->pending_control = std::move(item);
+        return;
+      }
+    }
+  }
+  dispatch(std::move(item));
+}
+
+void ReplicaPipeline::detach(Session& session) {
+  std::optional<WorkItem> dropped;  // destroyed outside the lock
+  std::lock_guard lock(session.m);
+  session.detached = true;
+  if (session.pending_control) {
+    dropped = std::move(session.pending_control);
+    session.pending_control.reset();
+    session.blocked = false;
+  }
+  session.notify_if_idle();
+}
+
+Status ReplicaPipeline::finish(Session& session) {
+  detach(session);
+  std::unique_lock lock(session.m);
+  session.idle_cv.wait(lock, [&] { return session.idle(); });
+  return session.error;
+}
+
+void ReplicaPipeline::dispatch(WorkItem&& item) {
+  // Control frames all ride stripe 0: they are rare, and their session is
+  // already quiesced, so any worker may serve one.
+  const std::size_t index = item.kind == WorkItem::Kind::kControl
+                                ? 0
+                                : item.view.lba & (queues_.size() - 1);
+  ShardQueue& queue = *queues_[index];
+  std::uint64_t depth = 0;
+  {
+    std::lock_guard lock(queue.m);
+    queue.q.push_back(std::move(item));
+    depth = queue.q.size();
+  }
+  queue.cv.notify_one();
+  std::atomic<std::uint64_t>& peak_ref = replica_.apply_queue_peak_;
+  std::uint64_t peak = peak_ref.load(std::memory_order_relaxed);
+  while (depth > peak && !peak_ref.compare_exchange_weak(
+                             peak, depth, std::memory_order_relaxed)) {
+  }
+}
+
+void ReplicaPipeline::worker_loop(ShardQueue& queue) {
+  for (;;) {
+    WorkItem item;
+    {
+      std::unique_lock lock(queue.m);
+      queue.cv.wait(lock, [&] { return !queue.q.empty() || queue.closed; });
+      if (queue.q.empty()) return;  // closed and drained
+      item = std::move(queue.q.front());
+      queue.q.pop_front();
+    }
+    Session& session = *item.session;
+    switch (item.kind) {
+      case WorkItem::Kind::kWrite:
+        run_write(item);
+        break;
+      case WorkItem::Kind::kClientRead:
+        // The answer is a block, not an ack: reply directly, uncoalesced.
+        answer(session, replica_.serve_client_read(item.view));
+        settle(session);
+        break;
+      case WorkItem::Kind::kControl: {
+        answer(session, replica_.apply_view(item.view));
+        std::lock_guard lock(session.m);
+        session.blocked = false;
+        session.maybe_resume();
+        session.notify_if_idle();
+        break;
+      }
+    }
+  }
+}
+
+void ReplicaPipeline::run_write(WorkItem& item) {
+  Session& session = *item.session;
+  auto outcome = replica_.apply_write_message(item.view);
+  bool flush = false;
+  if (outcome.is_ok()) {
+    std::lock_guard lock(session.m);
+    session.completions.push_back(
+        Completion{item.view.sequence, item.view.lba, *outcome});
+    flush = !std::exchange(session.flushing, true);
+  } else {
+    fail(session, outcome.status());
+  }
+  settle(session);
+  if (flush) flush_acks(session);
+}
+
+void ReplicaPipeline::answer(Session& session,
+                             const Result<ReplicationMessage>& reply) {
+  Status sent =
+      reply.is_ok() ? send(session, *reply, reply->payload) : reply.status();
+  // The peer hanging up is a clean end of session (the front end sees the
+  // same close); anything else is fatal.
+  if (!sent.is_ok() && sent.code() != ErrorCode::kUnavailable) {
+    fail(session, sent);
+  }
+}
+
+void ReplicaPipeline::settle(Session& session) {
+  std::optional<WorkItem> control;
+  {
+    std::lock_guard lock(session.m);
+    --session.in_flight;
+    if (session.in_flight == 0 && session.pending_control) {
+      control = std::move(session.pending_control);
+      session.pending_control.reset();
+    }
+    session.maybe_resume();
+    session.notify_if_idle();
+  }
+  if (control) dispatch(std::move(*control));
+}
+
+void ReplicaPipeline::flush_acks(Session& session) {
+  const std::size_t chunk = replica_.config_.ack_coalesce_max;
+  std::vector<Completion> batch;
+  for (;;) {
+    {
+      std::lock_guard lock(session.m);
+      if (session.completions.empty()) {
+        session.flushing = false;
+        session.notify_if_idle();
+        return;
+      }
+      batch.swap(session.completions);
+    }
+    for (std::size_t off = 0; off < batch.size(); off += chunk) {
+      Status sent = send_ack_chunk(session, batch.data() + off,
+                                   std::min(chunk, batch.size() - off));
+      if (!sent.is_ok()) {
+        if (sent.code() != ErrorCode::kUnavailable) fail(session, sent);
+        break;  // as answer(): a peer hangup ends the session cleanly
+      }
+    }
+    batch.clear();
+  }
+}
+
+Status ReplicaPipeline::send_ack_chunk(Session& session,
+                                       const Completion* completions,
+                                       std::size_t count) {
+  std::vector<std::uint64_t> acked;
+  acked.reserve(count);
+  Lba last_lba = 0;
+  std::uint64_t newest = 0;
+  for (std::size_t i = 0; i < count; ++i) {
+    const Completion& c = completions[i];
+    if (c.outcome == ReplicaEngine::ApplyOutcome::kApplied) {
+      acked.push_back(c.sequence);
+      if (c.sequence >= newest) {
+        newest = c.sequence;
+        last_lba = c.lba;
+      }
+      continue;
+    }
+    // NAKs are the holes: they stay individual frames so the primary can
+    // match each to its entry (and read the reason byte).
+    ReplicationMessage nak;
+    nak.kind = MessageKind::kNak;
+    nak.cluster_epoch = replica_.cluster_epoch();
+    nak.sequence = c.sequence;
+    nak.lba = c.lba;
+    Byte reason = static_cast<Byte>(NakReason::kNeedFullBlock);
+    ByteSpan payload;
+    if (c.outcome == ReplicaEngine::ApplyOutcome::kNakFullBlock) {
+      payload = ByteSpan(&reason, 1);
+    } else if (c.outcome == ReplicaEngine::ApplyOutcome::kNakStaleEpoch) {
+      reason = static_cast<Byte>(NakReason::kStaleEpoch);
+      payload = ByteSpan(&reason, 1);
+    }
+    PRINS_RETURN_IF_ERROR(send(session, nak, payload));
+  }
+  if (acked.empty()) return Status::ok();
+  ReplicationMessage ack;
+  ack.cluster_epoch = replica_.cluster_epoch();
+  ack.sequence = newest;
+  ack.lba = last_lba;
+  if (acked.size() == 1) {
+    // A lone completion acks plainly — byte-compatible with the
+    // one-frame-at-a-time resync and heal exchanges.
+    ack.kind = MessageKind::kAck;
+    return send(session, ack, {});
+  }
+  const std::vector<AckRange> ranges = coalesce_ack_ranges(acked);
+  Bytes payload;
+  payload.reserve(4 + ranges.size() * 12);
+  append_le32(payload, static_cast<std::uint32_t>(ranges.size()));
+  for (const AckRange& range : ranges) {
+    append_le64(payload, range.first_sequence);
+    append_le32(payload, range.count);
+  }
+  ack.kind = MessageKind::kAckBatch;
+  PRINS_RETURN_IF_ERROR(send(session, ack, payload));
+  std::lock_guard lock(replica_.mutex_);
+  replica_.metrics_.ack_batches += 1;
+  replica_.metrics_.acks_batched += acked.size();
+  return Status::ok();
+}
+
+Status ReplicaPipeline::send(Session& session, const ReplicationMessage& meta,
+                             ByteSpan payload) {
+  std::lock_guard lock(session.send_mutex);
+  return send_framed(*session.transport, meta, payload);
+}
+
+void ReplicaPipeline::fail(Session& session, const Status& error) {
+  {
+    std::lock_guard lock(session.m);
+    if (!session.error.is_ok()) return;  // already failing
+    session.error = error;
+  }
+  PRINS_LOG(kWarn) << "replica session failed: " << error.to_string();
+  session.transport->close();  // wakes the front end out of recv()
 }
 
 std::thread replica_serve_in_background(std::shared_ptr<ReplicaEngine> replica,

@@ -5,12 +5,14 @@
 // will perform the reverse computation ... and store the data in its local
 // storage using the same LBA."  (§2)
 //
-// serve() runs a bounded pipeline mirroring the primary's sharded submit
-// side: a demux stage decodes each frame once (decode_view, zero-copy) and
-// dispatches write-kind messages to N apply workers striped by LBA, so
-// same-block parity deltas stay serialized (XOR chains must telescope)
-// while independent blocks apply concurrently.  Worker completions flow to
-// an ack stage that coalesces them into cumulative kAckBatch frames.  An
+// Every session a replica serves feeds one ReplicaPipeline (below), owned
+// by the engine: a receive loop decodes each frame once (decode_view,
+// zero-copy) and hands write-kind messages to apply workers striped by
+// LBA, so same-block parity deltas stay serialized (XOR chains must
+// telescope) while independent blocks apply concurrently, and completed
+// applies coalesce into cumulative kAckBatch frames.  serve() is that
+// pipeline's blocking front end (one recv() loop per connection);
+// ReactorReplicaServer (reactor_server.h) is its handler-driven one.  An
 // optional write-through LRU (the old-block apply cache) elides the
 // read-modify-write disk read for hot LBAs, and the intent log group-
 // commits so parallel workers share fsyncs.  Optionally feeds every
@@ -20,6 +22,7 @@
 
 #include <atomic>
 #include <deque>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <set>
@@ -52,16 +55,14 @@ struct ReplicaConfig {
   /// 0 checkpoints only on barriers.  Bounds both the log size and the
   /// restart replay work.
   std::uint64_t intent_checkpoint_every = 256;
-  /// Apply workers serve() runs, striped by LBA (shard = lba mod shards)
-  /// so same-block deltas keep their order while independent blocks apply
-  /// concurrently.  0 (default) auto-sizes: the PRINS_APPLY_SHARDS
-  /// environment variable if set, else the hardware thread count; the
-  /// result is rounded up to a power of two (masking beats modulo) and
-  /// clamped to 32.  1 reproduces the historical in-order loop.
+  /// Apply workers the pipeline runs, striped by LBA (shard = lba mod
+  /// shards) so same-block deltas keep their order while independent
+  /// blocks apply concurrently.  0 (default) auto-sizes: the
+  /// PRINS_APPLY_SHARDS environment variable if set, else the hardware
+  /// thread count; the result is rounded up to a power of two (masking
+  /// beats modulo) and clamped to 32.  1 reproduces the historical
+  /// in-order loop.
   std::size_t apply_shards = 0;
-  /// Frames a shard's dispatch queue may hold; the demux stage blocks when
-  /// full, back-pressuring the transport.
-  std::size_t apply_queue_capacity = 128;
   /// Max completions folded into one ack frame.  1 disables batching
   /// (every apply acks individually, the pre-pipeline wire behavior).
   std::size_t ack_coalesce_max = 64;
@@ -95,10 +96,10 @@ struct ReplicaMetrics {
                                           //   min_sequence not yet applied
   std::uint64_t torn_blocks_detected = 0;  // intent replay found a torn apply
   std::uint64_t full_repairs_requested = 0;  // NAKs asking for a full block
-  // Pipeline counters (serve()'s demux/worker/ack stages).
+  // Pipeline counters (ReplicaPipeline's dispatch/worker/ack stages).
   std::uint64_t ack_batches = 0;       // kAckBatch frames sent
   std::uint64_t acks_batched = 0;      // completions those frames covered
-  std::uint64_t apply_queue_peak = 0;  // deepest dispatch queue observed
+  std::uint64_t apply_queue_peak = 0;  // deepest worker queue observed
   std::uint64_t cache_hits = 0;        // old-block apply cache
   std::uint64_t cache_misses = 0;
   std::uint64_t intent_records = 0;    // intents recorded (group commit...)
@@ -106,18 +107,111 @@ struct ReplicaMetrics {
   std::uint64_t stale_epoch_naks = 0;  // fenced frames from a zombie primary
 };
 
+class ReplicaEngine;
+
+/// The replica's apply pipeline, shared by every session its engine serves
+/// whichever front end feeds it (serve()'s recv() loop or
+/// ReactorReplicaServer's message handlers):
+///
+///   deliver()      decode_view once; write-kind frames and client reads
+///                  queue on the apply worker for their LBA stripe (same-
+///                  block XOR deltas stay ordered); a torn frame is NAK'd
+///                  inline with sequence 0 so the primary resends
+///   apply workers  one per apply shard; each completed write lands in its
+///                  session's ack buffer, a client read replies directly
+///   ack flush      whichever worker finds the buffer un-flushed drains it
+///                  (a combining lock): under load completions coalesce
+///                  into cumulative kAckBatch frames, when idle each ack
+///                  goes out alone; NAKs always go out individually
+///
+/// Backpressure is per session: once kMaxInFlight frames are dispatched
+/// and not completed, the session's pause hook asks its front end to stop
+/// delivering, resuming at half.  A control frame (barrier, verify, hash,
+/// hello, read-block, read lease) pauses the session and waits for its
+/// in-flight frames to finish before a worker applies it, so its answer
+/// observes every earlier write.  The first fatal error (device failure,
+/// reply send failure) closes the session's transport.
+class ReplicaPipeline {
+ public:
+  struct Session;
+
+  /// Frames a session may have dispatched and not completed before it is
+  /// paused.  Bounds queued work (and wire buffers) per initiator.
+  static constexpr std::size_t kMaxInFlight = 128;
+
+  /// Starts replica.apply_shards() workers.
+  explicit ReplicaPipeline(ReplicaEngine& replica);
+  /// Finishes every queued frame, then joins the workers.
+  ~ReplicaPipeline();
+
+  ReplicaPipeline(const ReplicaPipeline&) = delete;
+  ReplicaPipeline& operator=(const ReplicaPipeline&) = delete;
+
+  /// Open a session whose replies go out on `transport`.  `pause(true)`
+  /// asks the front end to stop delivering frames and `pause(false)` to
+  /// resume; it runs with the session's lock held, on the delivering
+  /// thread or a worker, so it must neither block nor call back into the
+  /// pipeline.
+  std::shared_ptr<Session> open(std::shared_ptr<Transport> transport,
+                                std::function<void(bool)> pause);
+
+  /// Feed one received frame.  Never waits for an apply.
+  void deliver(const std::shared_ptr<Session>& session, Bytes&& wire);
+
+  /// The front end delivers nothing more: drop a control frame still
+  /// waiting for the session to quiesce and stop calling the pause hook.
+  /// Frames already dispatched still apply and ack.  Never blocks.
+  void detach(Session& session);
+
+  /// detach(), then wait until the session's dispatched frames are applied
+  /// and their acks sent.  Returns the session's first fatal error.
+  Status finish(Session& session);
+
+ private:
+  struct WorkItem;
+  struct ShardQueue;
+  struct Completion;
+
+  void dispatch(WorkItem&& item);
+  void worker_loop(ShardQueue& queue);
+  void run_write(WorkItem& item);
+  /// Send a reply, or fail the session on its error; kUnavailable (the
+  /// peer hung up) is a clean end, not a failure.
+  void answer(Session& session, const Result<ReplicationMessage>& reply);
+  /// A write or client read left the session: drop its in-flight count,
+  /// resume the front end, release a waiting control frame.
+  void settle(Session& session);
+  void flush_acks(Session& session);
+  Status send_ack_chunk(Session& session, const Completion* completions,
+                        std::size_t count);
+  Status send(Session& session, const ReplicationMessage& meta,
+              ByteSpan payload);
+  /// Record the session's first fatal error and close its transport.
+  void fail(Session& session, const Status& error);
+
+  ReplicaEngine& replica_;
+  std::vector<std::unique_ptr<ShardQueue>> queues_;
+  std::vector<std::thread> workers_;
+};
+
 class ReplicaEngine {
  public:
   ReplicaEngine(std::shared_ptr<BlockDevice> local, ReplicaConfig config = {});
   ~ReplicaEngine();
 
-  /// Serve one primary connection until it closes.  OK on clean disconnect.
-  /// A frame that fails CRC/decode is NAK'd (the primary retransmits), not
-  /// fatal; device errors still end the session with the error.
+  /// Serve one primary connection until it closes: a recv() loop feeding
+  /// a one-session client of pipeline(), held before the next recv() while
+  /// the pipeline pauses the session.  Returns once the session's
+  /// dispatched frames are applied and acked; OK on clean disconnect.  A
+  /// frame that fails CRC/decode is NAK'd (the primary retransmits), not
+  /// fatal; the session's first device or send error is returned.
   Status serve(Transport& transport);
 
+  /// The apply pipeline every session of this replica feeds.
+  ReplicaPipeline& pipeline() { return *pipeline_; }
+
   /// Apply a single message and build the reply (ACK / verify reply / NAK).
-  /// Exposed for deterministic unit tests; serve() pipelines this logic.
+  /// Exposed for deterministic unit tests; the pipeline runs this logic.
   ///
   /// Write-kind messages with a nonzero sequence are deduplicated against a
   /// sliding window of recently applied sequences: a re-delivered message
@@ -129,7 +223,7 @@ class ReplicaEngine {
 
   /// Zero-copy variant: the payload span may alias the wire buffer (see
   /// ReplicationMessage::decode_view), so nothing is copied between recv()
-  /// and the device write.  serve() uses this; apply() wraps it.
+  /// and the device write.  The pipeline uses this; apply() wraps it.
   Result<ReplicationMessage> apply_view(const MessageView& message);
 
   /// Replay the write-intent log after a restart.  A block whose contents
@@ -189,11 +283,9 @@ class ReplicaEngine {
   BlockDevice& device() { return *local_; }
 
  private:
-  // The reactor-hosted server pipelines apply_write_message/metrics the
-  // same way serve() does, without a thread per connection.
-  friend class ReactorReplicaServer;
+  friend class ReplicaPipeline;
 
-  /// What a write-kind apply tells the ack stage.
+  /// What a write-kind apply tells the ack flush.
   enum class ApplyOutcome : std::uint8_t {
     kApplied = 0,       // ack it (covers deduplicated redeliveries)
     kNakResend = 1,     // codec frame corrupt: retransmit as-is
@@ -279,6 +371,9 @@ class ReplicaEngine {
   std::atomic<std::uint64_t> applies_since_checkpoint_{0};
   std::atomic<std::uint64_t> apply_queue_peak_{0};
   std::mutex checkpoint_mutex_;  // one all-shard quiesce at a time
+  // Last member: destroyed (workers drained and joined) before anything
+  // they apply against.
+  std::unique_ptr<ReplicaPipeline> pipeline_;
 };
 
 /// Run replica.serve(transport) for every connection accepted from

@@ -9,6 +9,7 @@
 
 #include <atomic>
 #include <cstdlib>
+#include <filesystem>
 #include <thread>
 #include <vector>
 
@@ -23,6 +24,7 @@
 #include "net/reactor.h"
 #include "net/reactor_tcp.h"
 #include "net/tcp.h"
+#include "net/traffic_meter.h"
 #include "prins/engine.h"
 #include "prins/intent_log.h"
 #include "prins/reactor_server.h"
@@ -41,6 +43,28 @@ bool await(const std::function<bool()>& done,
     std::this_thread::sleep_for(1ms);
   }
   return true;
+}
+
+std::size_t count_threads() {
+  std::size_t n = 0;
+  for ([[maybe_unused]] const auto& entry :
+       std::filesystem::directory_iterator("/proc/self/task")) {
+    ++n;
+  }
+  return n;
+}
+
+// Thread count once it holds still for 10 ms: helper threads an earlier
+// test in this process left behind (a reactor's deleter) come and go.
+std::size_t settled_thread_count() {
+  std::size_t n = count_threads();
+  for (int i = 0; i < 100; ++i) {
+    std::this_thread::sleep_for(10ms);
+    const std::size_t now = count_threads();
+    if (now == n) break;
+    n = now;
+  }
+  return n;
 }
 
 // Drain replies until `expect` completions are covered, counting a kAck as
@@ -584,6 +608,56 @@ TEST(ReactorSenderTest, WritesConvergeWithoutSenderThreads) {
   }
   engine.reset();  // must cancel its wheel timers and pumps cleanly
   EXPECT_TRUE(await([&] { return (*reactor)->pending_timers() == 0; }, 2s));
+  (*server)->stop();
+}
+
+TEST(ReactorSenderTest, MeteredReactorLinkStartsNoSenderThread) {
+  // A TrafficMeter around a reactor link must still see through to the
+  // reactor connection; otherwise add_replica silently falls back to a
+  // threaded sender.
+  constexpr std::uint32_t kBs = 1024;
+  constexpr std::uint64_t kBlocks = 64;
+  auto replica_disk = std::make_shared<MemDisk>(kBlocks, kBs);
+  auto replica = std::make_shared<ReplicaEngine>(replica_disk);
+  auto pool = ReactorPool::create(1);
+  ASSERT_TRUE(pool.is_ok());
+  auto server = ReactorReplicaServer::start(replica, *pool);
+  ASSERT_TRUE(server.is_ok());
+
+  auto reactor = Reactor::create();
+  ASSERT_TRUE(reactor.is_ok());
+  EngineConfig config;
+  config.reactor = *reactor;
+  config.reactor_senders = true;
+  config.retry.op_timeout = 2s;
+  auto primary = std::make_shared<MemDisk>(kBlocks, kBs);
+  auto engine = std::make_unique<PrinsEngine>(primary, config);
+  auto link = ReactorTcpTransport::connect(*reactor, "127.0.0.1",
+                                           (*server)->port());
+  ASSERT_TRUE(link.is_ok()) << link.status().to_string();
+  auto meter = std::make_unique<TrafficMeter>(std::move(*link));
+  const TrafficMeter* traffic = meter.get();
+  // The check stackbench makes: add_replica must not add a thread.
+  const std::size_t threads_before = settled_thread_count();
+  engine->add_replica(std::move(meter));
+  EXPECT_LE(count_threads(), threads_before)
+      << "add_replica started a sender thread for a metered reactor link";
+
+  Rng rng(43);
+  Bytes block(kBs);
+  for (int i = 0; i < 100; ++i) {
+    rng.fill(block);
+    ASSERT_TRUE(engine->write(rng.next_below(kBlocks), block).is_ok());
+  }
+  ASSERT_TRUE(engine->drain().is_ok());
+  EXPECT_GT(traffic->sent().messages, 0u);  // the meter still counts
+  Bytes want(kBs), got(kBs);
+  for (Lba lba = 0; lba < kBlocks; ++lba) {
+    ASSERT_TRUE(primary->read(lba, want).is_ok());
+    ASSERT_TRUE(replica_disk->read(lba, got).is_ok());
+    ASSERT_EQ(want, got) << "diverged at lba " << lba;
+  }
+  engine.reset();
   (*server)->stop();
 }
 

@@ -7,6 +7,7 @@
 #include <atomic>
 #include <cstdio>
 #include <filesystem>
+#include <mutex>
 #include <thread>
 #include <unistd.h>
 
@@ -309,9 +310,8 @@ TEST(SelfHealSoakTest, ConvergesUnderDropsFlipsDuplicatesAndADisconnect) {
   }
 
   static std::atomic<std::uint64_t> reconnect_seed{500};
-  auto faulty_link = [&network](std::size_t index, std::uint64_t seed,
-                                std::uint64_t disconnect_after)
-      -> Result<std::unique_ptr<Transport>> {
+  auto faulty_link = [&network](std::size_t index, std::uint64_t seed)
+      -> Result<std::unique_ptr<FaultyTransport>> {
     PRINS_ASSIGN_OR_RETURN(
         std::unique_ptr<Transport> raw,
         network.connect("replica-" + std::to_string(index)));
@@ -319,11 +319,17 @@ TEST(SelfHealSoakTest, ConvergesUnderDropsFlipsDuplicatesAndADisconnect) {
     faults.drop_p = 0.01;
     faults.corrupt_p = 0.005;
     faults.duplicate_p = 0.01;
-    faults.disconnect_after = disconnect_after;
     faults.seed = seed;
-    return std::unique_ptr<Transport>(
-        std::make_unique<FaultyTransport>(std::move(raw), faults));
+    return std::make_unique<FaultyTransport>(std::move(raw), faults);
   };
+  // Replica 1's link is hard-cut at a fixed write index; the engine must
+  // reconnect and replay on its own.  The cut is the test's own action, not
+  // a send count: with coalescing, how many sends a run makes depends on
+  // scheduling.  `cut_link` is cleared when the engine asks for a
+  // replacement, before it releases the old link.
+  constexpr int kCutAtWrite = 5000;
+  std::mutex cut_mutex;
+  FaultyTransport* cut_link = nullptr;
 
   EngineConfig config;
   config.policy = ReplicationPolicy::kPrins;
@@ -335,24 +341,32 @@ TEST(SelfHealSoakTest, ConvergesUnderDropsFlipsDuplicatesAndADisconnect) {
   config.retry.multiplier = 2.0;
   config.retry.max_backoff = std::chrono::milliseconds(20);
   config.retry.op_timeout = std::chrono::milliseconds(25 * kTimingScale);
-  config.reconnect = [&faulty_link](std::size_t index) {
-    return faulty_link(index, reconnect_seed++, /*disconnect_after=*/0);
+  config.reconnect = [&](std::size_t index)
+      -> Result<std::unique_ptr<Transport>> {
+    {
+      std::lock_guard lock(cut_mutex);
+      if (index == 1) cut_link = nullptr;
+    }
+    PRINS_ASSIGN_OR_RETURN(auto link, faulty_link(index, reconnect_seed++));
+    return std::unique_ptr<Transport>(std::move(link));
   };
 
   auto primary = std::make_shared<MemDisk>(kBlocks, kBs);
   auto engine = std::make_unique<PrinsEngine>(primary, config);
   for (std::size_t i = 0; i < nodes.size(); ++i) {
-    // Replica 1's link is hard-cut mid-run; the engine must reconnect and
-    // replay on its own.  (Coalescing folds many writes per wire message,
-    // so the cut threshold is well below the logical write count.)
-    auto link = faulty_link(i, 100 + i, i == 1 ? 1000 : 0);
+    auto link = faulty_link(i, 100 + i);
     ASSERT_TRUE(link.is_ok());
+    if (i == 1) cut_link = link->get();
     engine->add_replica(std::move(*link));
   }
 
   Rng rng(4242);
   std::uint64_t issued = 0;
   for (int i = 0; i < 10000; ++i) {
+    if (i == kCutAtWrite) {
+      std::lock_guard lock(cut_mutex);
+      if (cut_link != nullptr) cut_link->set_disconnected(true);
+    }
     const bool wide = (i % 10) == 9;  // every tenth write spans two blocks
     const std::uint64_t span = wide ? 2 : 1;
     const Lba lba = rng.next_below(kBlocks - span + 1);

@@ -256,6 +256,12 @@ TEST(MessageViewTest, EncodeHeaderMatchesFullEncode) {
   const std::uint32_t trailer =
       load_le32(ByteSpan(wire).subspan(wire.size() - 4));
   EXPECT_EQ(crc, trailer);
+  // send_framed puts the same bytes on the wire, scatter-gather.
+  auto [sender, receiver] = make_inproc_pair();
+  ASSERT_TRUE(send_framed(*sender, msg, msg.payload).is_ok());
+  auto received = receiver->recv();
+  ASSERT_TRUE(received.is_ok());
+  EXPECT_EQ(*received, wire);
 }
 
 TEST(MessageViewTest, TornFramesAreRejected) {

@@ -319,7 +319,6 @@ int run_replica(const Options& options) {
     // connect.
     ReactorReplicaServerOptions server_options;
     server_options.port = port;
-    server_options.ack_coalesce_max = config.ack_coalesce_max;
     auto server = ReactorReplicaServer::start(replica, pool, server_options);
     if (!server.is_ok()) {
       std::fprintf(stderr, "listen: %s\n",
