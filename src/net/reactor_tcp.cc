@@ -4,15 +4,20 @@
 #include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
+#include <poll.h>
 #include <sys/epoll.h>
 #include <sys/socket.h>
 #include <sys/uio.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
+#include <chrono>
+#include <climits>
 #include <condition_variable>
 #include <cstring>
 #include <deque>
+#include <optional>
 
 #include "common/endian.h"
 #include "common/logging.h"
@@ -48,6 +53,8 @@ void apply_socket_options(int fd, const ReactorTcpOptions& options) {
 // ---- per-connection state machine ------------------------------------------
 
 struct ReactorTcpTransport::Conn : std::enable_shared_from_this<Conn> {
+  using Clock = Reactor::Clock;
+
   Conn(std::shared_ptr<Reactor> r, int fd_in, const ReactorTcpOptions& opts)
       : reactor(std::move(r)), fd(fd_in), options(opts) {}
 
@@ -77,6 +84,10 @@ struct ReactorTcpTransport::Conn : std::enable_shared_from_this<Conn> {
   bool paused_inbox = false;             // inbox at capacity
   bool paused_outbox = false;            // handler mode: outbox over limit
   bool paused_user = false;              // set_read_paused() gate
+  // A blocked receiver is reading the socket itself (EPOLLIN is off and the
+  // loop leaves the read side alone until it is done).
+  bool direct_reader = false;
+  bool close_deferred = false;  // the direct reader closes the fd when done
 
   // Write-side state machine: owned frames; the head may be partially on
   // the wire (out_off bytes of it already written).
@@ -92,9 +103,13 @@ struct ReactorTcpTransport::Conn : std::enable_shared_from_this<Conn> {
 
   // ---- helpers; all called with `mutex` held --------------------------------
 
+  bool read_gate_open() const {
+    return !paused_inbox && !paused_outbox && !paused_user;
+  }
+
   std::uint32_t interest() const {
     std::uint32_t events = 0;
-    if (!paused_inbox && !paused_outbox && !paused_user) events |= EPOLLIN;
+    if (read_gate_open() && !direct_reader) events |= EPOLLIN;
     if (write_armed) events |= EPOLLOUT;
     return events;
   }
@@ -133,11 +148,16 @@ struct ReactorTcpTransport::Conn : std::enable_shared_from_this<Conn> {
     removed = true;
     reactor->post([self = shared_from_this()] {
       std::lock_guard lock(self->mutex);
-      if (self->fd >= 0) {
-        self->reactor->remove_fd(self->fd);
-        ::close(self->fd);
-        self->fd = -1;
+      if (self->fd < 0) return;
+      self->reactor->remove_fd(self->fd);
+      if (self->direct_reader) {
+        // Its poll() still holds the fd: closing it now could hand the
+        // number to a new socket under it.
+        self->close_deferred = true;
+        return;
       }
+      ::close(self->fd);
+      self->fd = -1;
     });
   }
 
@@ -183,7 +203,10 @@ struct ReactorTcpTransport::Conn : std::enable_shared_from_this<Conn> {
     const bool want_write = !outq.empty() && !closed;
     const bool resume_reads =
         paused_outbox && out_bytes <= options.outbox_limit_bytes / 2;
-    if (resume_reads) paused_outbox = false;
+    if (resume_reads) {
+      paused_outbox = false;
+      can_recv.notify_all();  // a blocked receiver may read directly again
+    }
     if (want_write != write_armed || resume_reads) {
       write_armed = want_write;
       update_interest();
@@ -220,12 +243,15 @@ struct ReactorTcpTransport::Conn : std::enable_shared_from_this<Conn> {
     can_recv.notify_one();
   }
 
-  /// Read-side pump: loop thread only.
-  void on_readable(std::unique_lock<std::mutex>& lock) {
+  /// Read-side pump: the loop thread (`direct` false) or the blocked
+  /// receiver that owns the read side (`direct` true).  The loop stops as
+  /// soon as a direct reader takes over, even mid-pump: a handler it ran
+  /// with the lock dropped may have been swapped out for inbox delivery.
+  void on_readable(std::unique_lock<std::mutex>& lock, bool direct = false) {
     // Fairness budget: with level-triggered epoll, anything unread is
     // reported again, so cap the work one connection does per wake.
     std::size_t budget = 1u << 20;
-    while (!closed && !paused_inbox && !paused_outbox && !paused_user &&
+    while (!closed && read_gate_open() && direct == direct_reader &&
            budget > 0) {
       Byte* dst;
       std::size_t want;
@@ -282,12 +308,69 @@ struct ReactorTcpTransport::Conn : std::enable_shared_from_this<Conn> {
     }
   }
 
-  /// epoll dispatch: loop thread only.
+  /// epoll dispatch: loop thread only.  An EPOLLIN collected before a
+  /// direct reader cleared the interest is stale; on_readable skips it, and
+  /// the reader's own poll() sees HUP and ERR.
   void on_events(std::uint32_t events) {
     std::unique_lock lock(mutex);
     if (fd < 0) return;
     if (events & EPOLLOUT) flush_locked();
     if (events & (EPOLLIN | EPOLLHUP | EPOLLERR)) on_readable(lock);
+  }
+
+  /// Blocking receive for inbox delivery.  Rather than sleep until the
+  /// loop reads the socket and hands the frame over through `can_recv`,
+  /// the caller reads it itself: one receiver at a time owns the read side
+  /// (the others wait on `can_recv`), EPOLLIN is off while it does, and
+  /// the deadline is its poll() timeout.
+  Result<Bytes> receive(std::optional<Clock::time_point> deadline) {
+    std::unique_lock lock(mutex);
+    bool expired = false;
+    for (;;) {
+      if (!inbox.empty()) return take();
+      if (closed) return drained_status();
+      if (expired) return timeout_error("reactor-tcp recv timed out");
+      if (!direct_reader && !handler && read_gate_open()) {
+        expired = !read_directly(lock, deadline);
+      } else if (!deadline) {
+        can_recv.wait(lock);
+      } else {
+        expired = can_recv.wait_until(lock, *deadline) ==
+                  std::cv_status::timeout;
+      }
+    }
+  }
+
+  /// One poll()-then-read turn as the direct reader.  False when the
+  /// deadline passed with nothing readable.  `mutex` held on entry and
+  /// exit, dropped across poll().
+  bool read_directly(std::unique_lock<std::mutex>& lock,
+                     std::optional<Clock::time_point> deadline) {
+    direct_reader = true;
+    update_interest();
+    const int sock = fd;  // stays open: its close is deferred to us
+    int timeout_ms = -1;
+    if (deadline) {
+      const auto left = std::chrono::ceil<std::chrono::milliseconds>(
+          *deadline - Clock::now());
+      timeout_ms = static_cast<int>(
+          std::clamp<std::int64_t>(left.count(), 0, INT_MAX));
+    }
+    lock.unlock();
+    pollfd waiter{sock, POLLIN, 0};
+    const int ready = ::poll(&waiter, 1, timeout_ms);
+    lock.lock();
+    // Handlers run on the loop thread only: one installed while we were
+    // parked gets the bytes from the loop once EPOLLIN is back.
+    if (ready > 0 && !handler) on_readable(lock, /*direct=*/true);
+    direct_reader = false;
+    if (close_deferred) {  // already off the loop; nothing else holds it
+      ::close(fd);
+      fd = -1;
+    }
+    update_interest();
+    can_recv.notify_all();  // the read side is free for the next receiver
+    return ready != 0;
   }
 
   /// Enqueue one framed message; blocks off-loop callers on flow control.
@@ -395,41 +478,11 @@ Status ReactorTcpTransport::send_vec(std::span<const ByteSpan> parts) {
 }
 
 Result<Bytes> ReactorTcpTransport::recv() {
-  std::unique_lock lock(conn_->mutex);
-  conn_->can_recv.wait(
-      lock, [this] { return !conn_->inbox.empty() || conn_->closed; });
-  if (!conn_->inbox.empty()) return conn_->take();
-  return conn_->drained_status();
+  return conn_->receive(std::nullopt);
 }
 
 Result<Bytes> ReactorTcpTransport::recv_for(std::chrono::milliseconds timeout) {
-  // The deadline is a reactor timer, not a per-thread timed wait: one
-  // wheel entry wakes this cv if the frame has not completed in time.
-  auto expired = std::make_shared<std::atomic<bool>>(false);
-  const TimerId id = conn_->reactor->add_timer(
-      timeout, [expired, conn = conn_] {
-        expired->store(true, std::memory_order_release);
-        std::lock_guard lock(conn->mutex);
-        conn->can_recv.notify_all();
-      });
-  std::unique_lock lock(conn_->mutex);
-  conn_->can_recv.wait(lock, [&] {
-    return !conn_->inbox.empty() || conn_->closed ||
-           expired->load(std::memory_order_acquire);
-  });
-  if (!conn_->inbox.empty()) {
-    auto message = conn_->take();
-    lock.unlock();
-    conn_->reactor->cancel_timer(id);
-    return message;
-  }
-  if (conn_->closed) {
-    auto status = conn_->drained_status();
-    lock.unlock();
-    conn_->reactor->cancel_timer(id);
-    return status;
-  }
-  return timeout_error("reactor-tcp recv timed out");
+  return conn_->receive(Conn::Clock::now() + timeout);
 }
 
 void ReactorTcpTransport::close() {
@@ -451,6 +504,8 @@ void ReactorTcpTransport::set_message_handler(
       conn_->paused_inbox = false;
       conn_->update_interest();
     }
+    // Back to inbox delivery: a blocked receiver may read directly again.
+    if (!conn_->handler) conn_->can_recv.notify_all();
   }
   if (backlog.empty()) return;
   // Deliver the queued backlog on the loop thread, preserving order with
@@ -480,6 +535,7 @@ void ReactorTcpTransport::set_read_paused(bool paused) {
   if (conn_->paused_user == paused) return;
   conn_->paused_user = paused;
   conn_->update_interest();
+  if (!paused) conn_->can_recv.notify_all();
 }
 
 std::size_t ReactorTcpTransport::outbox_bytes() const {

@@ -12,11 +12,14 @@
 //               on EPOLLOUT via writev across the queued frames
 //
 // The blocking Transport API is a compatibility shim over that machine:
-// recv()/recv_for() pop the inbox (recv_for arms its deadline on the
-// reactor's timer wheel, not a per-thread timed wait), and send() blocks
-// only when the outbox is over its byte limit (flow control).  PrinsEngine,
-// ReplicaEngine, the iSCSI target, and the faulty/latent/shaped decorators
-// run unmodified on top.
+// recv()/recv_for() pop the inbox and, when it is empty, read the socket
+// from the calling thread the way TcpTransport does — the first blocked
+// receiver takes the read side over from the loop (EPOLLIN off), poll()s
+// with the deadline as its timeout, runs the same frame machine, and hands
+// the socket back.  No loop-thread wake sits between a reply and its
+// receiver.  send() blocks only when the outbox is over its byte limit
+// (flow control).  PrinsEngine, ReplicaEngine, the iSCSI target, and the
+// faulty/latent/shaped decorators run unmodified on top.
 //
 // Server fan-in can skip the shim: set_message_handler() delivers each
 // completed message on the loop thread instead of the inbox, so one

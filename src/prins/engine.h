@@ -131,9 +131,9 @@ struct EngineConfig {
   /// in an *untimed* wait on a gate the wheel fires — one shared wheel
   /// tracks every link's deadline, and stop/reattach cancel the gates so
   /// waiters re-check state immediately instead of sleeping out the rest
-  /// of their backoff.  Pair with ReactorTcpTransport links so the
-  /// per-reply op_timeout rides the same wheel (its recv_for arms a wheel
-  /// timer rather than polling).
+  /// of their backoff.  (A threaded sender's per-reply op_timeout on a
+  /// ReactorTcpTransport link needs no wheel entry: the blocked receiver
+  /// reads the socket itself, with the deadline as its poll() timeout.)
   std::shared_ptr<Reactor> reactor;
   /// Thread-free primary: drive each replica link as a reactor-hosted
   /// outbox state machine instead of a dedicated sender thread.  Requires

@@ -125,7 +125,7 @@ Status ReadRouter::read_from_replica(ReadLink& link, Lba lba, MutByteSpan out,
     note_failure(link);
     return sent;
   }
-  auto reply = await_reply(link, req.sequence);
+  auto reply = await_reply(link, MessageKind::kClientReadReply, req.sequence);
   if (!reply.is_ok()) {
     note_failure(link);
     return reply.status();
@@ -148,8 +148,7 @@ Status ReadRouter::read_from_replica(ReadLink& link, Lba lba, MutByteSpan out,
     }
     return unavailable("replica cannot serve the block");
   }
-  if (reply->kind != MessageKind::kClientReadReply || reply->lba != lba ||
-      reply->payload.size() != out.size()) {
+  if (reply->lba != lba || reply->payload.size() != out.size()) {
     note_failure(link);
     return failed_precondition("unexpected reply to client read");
   }
@@ -159,15 +158,21 @@ Status ReadRouter::read_from_replica(ReadLink& link, Lba lba, MutByteSpan out,
 }
 
 Result<ReplicationMessage> ReadRouter::await_reply(ReadLink& link,
+                                                   MessageKind reply_kind,
                                                    std::uint64_t exchange_id) {
   // A prior exchange that timed out here can leave its late reply buffered
-  // on the transport; skim past anything that is not ours.
+  // on the transport; skim past anything that is not ours.  Lease acks echo
+  // the floor and read exchange ids count from 1 too, so the sequence alone
+  // cannot tell a late lease ack from a read reply: match the kind as well.
   for (int tries = 0; tries < 16; ++tries) {
     PRINS_ASSIGN_OR_RETURN(Bytes wire,
                            link.transport->recv_for(config_.op_timeout));
     auto reply = ReplicationMessage::decode(wire);
     if (!reply.is_ok()) continue;           // torn frame; keep listening
     if (reply->sequence != exchange_id) continue;  // stale reply
+    if (reply->kind != reply_kind && reply->kind != MessageKind::kNak) {
+      continue;  // another exchange's late reply under the same number
+    }
     return *reply;
   }
   return timeout_error("no reply to client read exchange");
@@ -186,7 +191,7 @@ void ReadRouter::maybe_renew_lease(ReadLink& link) {
   lease.cluster_epoch = engine_->cluster_epoch();
   lease.sequence = floor;  // the lease value travels in the sequence field
   if (!link.transport->send(lease.encode()).is_ok()) return;
-  auto ack = await_reply(link, floor);
+  auto ack = await_reply(link, MessageKind::kAck, floor);
   if (ack.is_ok() && ack->kind == MessageKind::kAck) {
     link.lease_published = floor;
   }

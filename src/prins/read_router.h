@@ -111,8 +111,10 @@ class ReadRouter final : public BlockDevice {
   /// far enough (link mutex held).  Lease failures are soft: the replica
   /// just keeps proving freshness per LBA.
   void maybe_renew_lease(ReadLink& link);
-  /// Wait for the reply matching `exchange_id`, skimming stale frames.
+  /// Wait for the `reply_kind` (or kNak) reply matching `exchange_id`,
+  /// skimming stale frames.
   Result<ReplicationMessage> await_reply(ReadLink& link,
+                                         MessageKind reply_kind,
                                          std::uint64_t exchange_id);
   ReadLink* pick_link();
   void note_success(ReadLink& link);

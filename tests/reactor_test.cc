@@ -1,16 +1,21 @@
 // Tests for the event-driven transport substrate: the TimerWheel in
 // isolation (caller-supplied clock, fully deterministic), the Reactor loop
 // (timers, posts, fd dispatch), and ReactorTcpTransport's per-connection
-// state machines — partial-write resume, recv_for deadlines on the wheel,
-// a 256-connection echo soak through the handler path, and a reconnect
-// storm under FaultyListener-injected disconnects.
+// state machines — partial-write resume, blocked receivers reading their
+// own socket (deadlines, serialized readers, the hand-back to a message
+// handler, a one-CPU lost-wakeup soak), a 256-connection echo soak through
+// the handler path, and a reconnect storm under FaultyListener-injected
+// disconnects.
 #include <gtest/gtest.h>
+#include <sched.h>
 
 #include <atomic>
+#include <mutex>
 #include <thread>
 #include <vector>
 
 #include "block/mem_disk.h"
+#include "common/endian.h"
 #include "common/rng.h"
 #include "net/faulty.h"
 #include "net/inproc.h"
@@ -272,7 +277,7 @@ TEST(ReactorTcpTest, PartialWriteResumesUnderTinySndbuf) {
   server.join();
 }
 
-TEST(ReactorTcpTest, RecvForDeadlineRidesTheTimerWheel) {
+TEST(ReactorTcpTest, RecvForDeadlineIsTheReadersPollTimeout) {
   auto pool = ReactorPool::create(1);
   ASSERT_TRUE(pool.is_ok());
   auto listener = ReactorListener::listen(*pool, 0);
@@ -283,18 +288,186 @@ TEST(ReactorTcpTest, RecvForDeadlineRidesTheTimerWheel) {
   auto server = (*listener)->accept();
   ASSERT_TRUE(server.is_ok());
 
+  // The blocked receiver's own poll() carries the deadline: nothing lands
+  // on the reactor's timer wheel while it waits.
+  std::atomic<std::size_t> timers_mid_wait{1};
+  std::thread probe([&] {
+    std::this_thread::sleep_for(25ms);
+    timers_mid_wait = (*pool)->at(0).pending_timers();
+  });
   const auto start = std::chrono::steady_clock::now();
   auto nothing = (*client)->recv_for(50ms);
   EXPECT_EQ(nothing.status().code(), ErrorCode::kTimeout);
   EXPECT_GE(std::chrono::steady_clock::now() - start, 50ms);
+  probe.join();
+  EXPECT_EQ(timers_mid_wait.load(), 0u);
 
   ASSERT_TRUE((*server)->send(message("late")).is_ok());
   auto got = (*client)->recv_for(5s);
   ASSERT_TRUE(got.is_ok());
   EXPECT_EQ(*got, message("late"));
-  // Both the expired and the cancelled deadline are off the wheel again.
-  EXPECT_TRUE(await(
-      [&] { return (*pool)->at(0).pending_timers() == 0; }, 1s));
+  EXPECT_EQ((*pool)->at(0).pending_timers(), 0u);
+}
+
+TEST(ReactorTcpTest, ConcurrentReceiversOnOneConnectionEachGetAMessage) {
+  // One blocked receiver owns the read side; the other waits its turn.
+  // Both must come away with a message whichever of them reads the socket.
+  auto pool = ReactorPool::create(1);
+  ASSERT_TRUE(pool.is_ok());
+  auto listener = ReactorListener::listen(*pool, 0);
+  ASSERT_TRUE(listener.is_ok());
+  auto client = ReactorTcpTransport::connect(
+      (*pool)->at(0).shared_from_this(), "127.0.0.1", (*listener)->port());
+  ASSERT_TRUE(client.is_ok());
+  auto server = (*listener)->accept();
+  ASSERT_TRUE(server.is_ok());
+
+  std::vector<Bytes> got(2);
+  std::vector<std::thread> receivers;
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    receivers.emplace_back([&, i] {
+      auto m = (*client)->recv();
+      ASSERT_TRUE(m.is_ok()) << m.status().to_string();
+      got[i] = std::move(*m);
+    });
+  }
+  std::this_thread::sleep_for(20ms);  // let both park
+  ASSERT_TRUE((*server)->send(message("one")).is_ok());
+  ASSERT_TRUE((*server)->send(message("two")).is_ok());
+  for (auto& t : receivers) t.join();
+  const bool in_order = got[0] == message("one") && got[1] == message("two");
+  const bool swapped = got[0] == message("two") && got[1] == message("one");
+  EXPECT_TRUE(in_order || swapped);
+}
+
+TEST(ReactorTcpTest, HandlerInstalledAfterBlockingRecvGetsLaterFrames) {
+  // A hello on the blocking API, then the loop takes over: the engine's
+  // pattern.  Later frames reach the handler, on the loop thread, even
+  // though a receiver is parked on the socket when the handler goes in.
+  auto pool = ReactorPool::create(1);
+  ASSERT_TRUE(pool.is_ok());
+  auto listener = ReactorListener::listen(*pool, 0);
+  ASSERT_TRUE(listener.is_ok());
+  auto client = ReactorTcpTransport::connect(
+      (*pool)->at(0).shared_from_this(), "127.0.0.1", (*listener)->port());
+  ASSERT_TRUE(client.is_ok());
+  auto server = (*listener)->accept();
+  ASSERT_TRUE(server.is_ok());
+
+  ASSERT_TRUE((*server)->send(message("hello")).is_ok());
+  auto hello = (*client)->recv_for(5s);
+  ASSERT_TRUE(hello.is_ok());
+  EXPECT_EQ(*hello, message("hello"));
+
+  std::thread parked([&] {
+    auto nothing = (*client)->recv_for(300ms);
+    EXPECT_EQ(nothing.status().code(), ErrorCode::kTimeout);
+  });
+  std::this_thread::sleep_for(20ms);  // let it park in poll()
+
+  std::mutex mutex;
+  std::vector<Bytes> delivered;
+  std::atomic<bool> off_loop{false};
+  Reactor& loop = (*pool)->at(0);
+  static_cast<ReactorTcpTransport*>(client->get())
+      ->set_message_handler([&](Bytes&& m) {
+        if (!loop.on_loop_thread()) off_loop = true;
+        std::lock_guard lock(mutex);
+        delivered.push_back(std::move(m));
+      });
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_TRUE((*server)->send(message("frame")).is_ok());
+  }
+  EXPECT_TRUE(await([&] {
+    std::lock_guard lock(mutex);
+    return delivered.size() == 3;
+  }));
+  EXPECT_FALSE(off_loop.load());
+  parked.join();
+  (*client)->close();
+  static_cast<ReactorTcpTransport*>(client->get())->set_message_handler(nullptr);
+}
+
+TEST(ReactorTcpTest, OneCpuExchangeSoakNeverLosesAWakeup) {
+  // Four blocking clients on one reactor against a handler echo server,
+  // everything pinned to one CPU so the loop thread and the direct readers
+  // interleave at every preemption point.  A reply the loop read (or
+  // skipped) while a receiver owned the socket would strand that receiver
+  // until its deadline.
+  struct PinToOneCpu {
+    cpu_set_t saved;
+    PinToOneCpu() {
+      CPU_ZERO(&saved);
+      if (::sched_getaffinity(0, sizeof saved, &saved) != 0) return;
+      int cpu = 0;
+      while (cpu < CPU_SETSIZE && !CPU_ISSET(cpu, &saved)) ++cpu;
+      cpu_set_t one;
+      CPU_ZERO(&one);
+      CPU_SET(cpu, &one);
+      EXPECT_EQ(::sched_setaffinity(0, sizeof one, &one), 0);
+    }
+    ~PinToOneCpu() {
+      if (CPU_COUNT(&saved) > 0) ::sched_setaffinity(0, sizeof saved, &saved);
+    }
+  } pinned;
+  {
+    // Created after pinning: every thread below inherits the one CPU.
+    constexpr int kClients = 4;
+    constexpr int kExchanges = 20000;
+    auto server_pool = ReactorPool::create(1);
+    ASSERT_TRUE(server_pool.is_ok());
+    auto listener = ReactorListener::listen(*server_pool, 0);
+    ASSERT_TRUE(listener.is_ok());
+    std::vector<std::shared_ptr<Transport>> server_conns;
+    (*listener)->set_accept_handler([&](std::unique_ptr<Transport> conn) {
+      std::shared_ptr<Transport> t = std::move(conn);
+      static_cast<ReactorTcpTransport*>(t.get())->set_message_handler(
+          [t](Bytes&& m) { (void)t->send(m); });
+      server_conns.push_back(std::move(t));
+    });
+
+    auto client_pool = ReactorPool::create(1);
+    ASSERT_TRUE(client_pool.is_ok());
+    std::atomic<int> timeouts{0};
+    std::atomic<int> mismatches{0};
+    std::vector<std::thread> clients;
+    for (int c = 0; c < kClients; ++c) {
+      clients.emplace_back([&, c] {
+        auto link = ReactorTcpTransport::connect(
+            (*client_pool)->at(0).shared_from_this(), "127.0.0.1",
+            (*listener)->port());
+        ASSERT_TRUE(link.is_ok()) << link.status().to_string();
+        Bytes request(16);
+        for (int i = 0; i < kExchanges; ++i) {
+          store_le32(MutByteSpan(request), static_cast<std::uint32_t>(c));
+          store_le32(MutByteSpan(request).subspan(4), static_cast<std::uint32_t>(i));
+          ASSERT_TRUE((*link)->send(request).is_ok());
+          auto reply = (*link)->recv_for(5s);
+          if (!reply.is_ok()) {
+            ++timeouts;
+            return;
+          }
+          if (*reply != request) ++mismatches;
+        }
+        (*link)->close();
+      });
+    }
+    for (auto& t : clients) t.join();
+    EXPECT_EQ(timeouts.load(), 0);
+    EXPECT_EQ(mismatches.load(), 0);
+    (*listener)->close();
+    // The accept handler ran on the server loop; read the list there.
+    std::atomic<bool> released{false};
+    (*server_pool)->at(0).post([&] {
+      for (auto& conn : server_conns) {
+        static_cast<ReactorTcpTransport*>(conn.get())
+            ->set_message_handler(nullptr);
+      }
+      server_conns.clear();
+      released = true;
+    });
+    EXPECT_TRUE(await([&] { return released.load(); }));
+  }
 }
 
 TEST(ReactorTcpTest, EchoSoak256Connections) {

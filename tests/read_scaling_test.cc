@@ -288,8 +288,57 @@ TEST(ReadRouter, WritesPassThroughToTheEngine) {
   EXPECT_EQ(got, data);
 }
 
+TEST(ReadRouter, LateLeaseAckIsNotTakenForAReadReply) {
+  // Lease acks echo the floor in `sequence` and read exchange ids count
+  // from 1, so a late kAck can carry the very number a read is waiting
+  // for.  A scripted replica sends exactly that stray ack ahead of each
+  // read reply: the router must skim it and take the real reply.
+  EngineConfig config;
+  config.read_from_replicas = true;
+  auto engine = std::make_shared<PrinsEngine>(
+      std::make_shared<MemDisk>(kBlocks, kBs), config);
+  auto router = std::make_shared<ReadRouter>(engine);
+  auto [client, server] = make_inproc_pair();
+  router->add_read_replica(std::move(client));
+
+  const Bytes block = pattern_block(40);
+  std::atomic<int> served{0};
+  std::thread replica([&, link = std::move(server)] {
+    for (;;) {
+      auto wire = link->recv();
+      if (!wire.is_ok()) return;  // router closed the link
+      auto req = ReplicationMessage::decode(*wire);
+      ASSERT_TRUE(req.is_ok());
+      ASSERT_EQ(req->kind, MessageKind::kClientReadRequest);
+      ReplicationMessage stray;
+      stray.kind = MessageKind::kAck;
+      stray.sequence = req->sequence;
+      ASSERT_TRUE(link->send(stray.encode()).is_ok());
+      ReplicationMessage reply;
+      reply.kind = MessageKind::kClientReadReply;
+      reply.block_size = kBs;
+      reply.lba = req->lba;
+      reply.sequence = req->sequence;
+      reply.payload = block;
+      ASSERT_TRUE(link->send(reply.encode()).is_ok());
+      served.fetch_add(1);
+    }
+  });
+
+  Bytes got(kBs);
+  for (Lba lba = 0; lba < 3; ++lba) {
+    ASSERT_TRUE(router->read(lba, got).is_ok());
+    EXPECT_EQ(got, block) << "lba " << lba;  // the primary holds zeros
+  }
+  EXPECT_EQ(served.load(), 3);
+  EXPECT_EQ(engine->metrics().replica_reads, 3u);
+  EXPECT_EQ(router->healthy_links(), 1u);
+  router.reset();  // closes the link; the scripted replica exits
+  replica.join();
+}
+
 // ---------------------------------------------------------------------------
-// Stale-read soak: a writer hammers hot LBAs while readers demand
+// Stale-read soak:a writer hammers hot LBAs while readers demand
 // freshness across a faulty read link.  The oracle packs (version,
 // sequence) per LBA; a reader that demanded sequence S must never observe
 // a version older than the one written at S.  Every read must return OK —

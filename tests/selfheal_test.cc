@@ -421,19 +421,23 @@ TEST(SelfHealSoakTest, PipelinedReplicaRetiresEveryWriteAcrossDisconnect) {
   std::thread server = replica_serve_in_background(replica, listener);
 
   static std::atomic<std::uint64_t> seed{900};
-  auto faulty_link = [&network](std::uint64_t link_seed,
-                                std::uint64_t disconnect_after)
-      -> Result<std::unique_ptr<Transport>> {
+  auto faulty_link = [&network](std::uint64_t link_seed)
+      -> Result<std::unique_ptr<FaultyTransport>> {
     PRINS_ASSIGN_OR_RETURN(std::unique_ptr<Transport> raw,
                            network.connect("replica"));
     FaultConfig faults;
     faults.drop_p = 0.01;
     faults.duplicate_p = 0.01;
-    faults.disconnect_after = disconnect_after;
     faults.seed = link_seed;
-    return std::unique_ptr<Transport>(
-        std::make_unique<FaultyTransport>(std::move(raw), faults));
+    return std::make_unique<FaultyTransport>(std::move(raw), faults);
   };
+  // The link is hard-cut at a fixed write index, not after a send count:
+  // with folding, how many sends a run makes depends on scheduling.
+  // `cut_link` is cleared when the engine asks for a replacement, before
+  // it releases the old link.
+  constexpr int kCutAtWrite = 500;
+  std::mutex cut_mutex;
+  FaultyTransport* cut_link = nullptr;
 
   EngineConfig config;
   config.policy = ReplicationPolicy::kPrinsRle;
@@ -443,21 +447,31 @@ TEST(SelfHealSoakTest, PipelinedReplicaRetiresEveryWriteAcrossDisconnect) {
   config.retry.base_backoff = std::chrono::milliseconds(1);
   config.retry.max_backoff = std::chrono::milliseconds(20);
   config.retry.op_timeout = std::chrono::milliseconds(25 * kTimingScale);
-  config.reconnect = [&faulty_link](std::size_t) {
-    return faulty_link(seed++, /*disconnect_after=*/0);
+  config.reconnect = [&](std::size_t) -> Result<std::unique_ptr<Transport>> {
+    {
+      std::lock_guard lock(cut_mutex);
+      cut_link = nullptr;
+    }
+    PRINS_ASSIGN_OR_RETURN(auto link, faulty_link(seed++));
+    return std::unique_ptr<Transport>(std::move(link));
   };
 
   auto primary = std::make_shared<MemDisk>(kBlocks, kBs);
   auto engine = std::make_unique<PrinsEngine>(primary, config);
   {
-    auto link = faulty_link(101, /*disconnect_after=*/500);
+    auto link = faulty_link(101);
     ASSERT_TRUE(link.is_ok());
+    cut_link = link->get();
     engine->add_replica(std::move(*link));
   }
 
   Rng rng(31337);
   constexpr int kWrites = 2000;
   for (int i = 0; i < kWrites; ++i) {
+    if (i == kCutAtWrite) {
+      std::lock_guard lock(cut_mutex);
+      if (cut_link != nullptr) cut_link->set_disconnected(true);
+    }
     const Lba lba = rng.next_below(kBlocks);
     ASSERT_TRUE(engine->write(lba, random_block(555000 + i)).is_ok());
   }
