@@ -184,30 +184,43 @@ Status IscsiInitiator::command(const Cdb& cdb, ByteSpan write_data,
   cmd.word10 = load_be32(ByteSpan(cdb_bytes).subspan(8, 4));
   cmd.word11 = load_be32(ByteSpan(cdb_bytes).subspan(12, 4));
 
-  // Immediate data: as much of the write payload as allowed rides along.
+  // Immediate data: as much of the write payload as allowed rides along,
+  // sent from the caller's span.
   const std::size_t immediate =
       std::min<std::size_t>(write_data.size(), config_.max_immediate_data);
-  if (immediate > 0) {
-    cmd.data = to_bytes(write_data.first(immediate));
-  }
-  PRINS_RETURN_IF_ERROR(transport_->send(cmd.encode(header_digest_)));
+  PRINS_RETURN_IF_ERROR(send_pdu(*transport_, cmd,
+                                 write_data.first(immediate), header_digest_));
 
   std::size_t read_received = 0;
   for (;;) {
     PRINS_ASSIGN_OR_RETURN(Bytes message, transport_->recv());
-    PRINS_ASSIGN_OR_RETURN(Pdu pdu, Pdu::decode(message, header_digest_));
+    PRINS_ASSIGN_OR_RETURN(PduView in,
+                           Pdu::decode_view(message, header_digest_));
+    const Pdu& pdu = in.pdu;
     switch (pdu.opcode) {
       case Opcode::kDataIn: {
         if (pdu.itt != cmd.itt) {
           return failed_precondition("Data-In for unexpected ITT");
         }
+        // One in-order sequence (DataPDUInOrder=Yes): each Data-In starts
+        // where the last ended, so a duplicate cannot pass for coverage.
         const std::uint64_t off = pdu.word10;
-        if (off + pdu.data.size() > read_buf.size()) {
+        if (off != read_received) {
+          return corruption("Data-In at offset " + std::to_string(off) +
+                            ", expected " + std::to_string(read_received));
+        }
+        if (in.data.size() > read_buf.size() - off) {
           return corruption("Data-In overflows read buffer");
         }
-        std::memcpy(read_buf.data() + off, pdu.data.data(), pdu.data.size());
-        read_received += pdu.data.size();
-        break;
+        if (!in.data.empty()) {
+          std::memcpy(read_buf.data() + off, in.data.data(), in.data.size());
+        }
+        read_received += in.data.size();
+        if ((pdu.flags & kFlagStatus) == 0) break;
+        // Status in the final Data-In (RFC 3720 §10.7.3): the command is
+        // complete without a separate SCSI Response.
+        return complete(pdu, /*sense_bytes=*/0, read_received,
+                        read_buf.size());
       }
       case Opcode::kR2t: {
         if (pdu.itt != cmd.itt) {
@@ -229,12 +242,12 @@ Status IscsiInitiator::command(const Cdb& cdb, ByteSpan write_data,
           dout.word7 = exp_stat_sn_;
           dout.word9 = data_sn++;
           dout.word10 = static_cast<std::uint32_t>(off);
-          dout.data = to_bytes(write_data.subspan(off, len));
+          if (remaining == len) dout.flags |= kFlagFinal;
+          PRINS_RETURN_IF_ERROR(send_pdu(*transport_, dout,
+                                         write_data.subspan(off, len),
+                                         header_digest_));
           off += len;
           remaining -= len;
-          if (remaining == 0) dout.flags |= kFlagFinal;
-          PRINS_RETURN_IF_ERROR(
-              transport_->send(dout.encode(header_digest_)));
         }
         break;
       }
@@ -242,18 +255,7 @@ Status IscsiInitiator::command(const Cdb& cdb, ByteSpan write_data,
         if (pdu.itt != cmd.itt) {
           return failed_precondition("SCSI Response for unexpected ITT");
         }
-        exp_stat_sn_ = pdu.word6 + 1;
-        if (pdu.byte3 != kScsiGood) {
-          return io_error("SCSI status 0x" + std::to_string(pdu.byte3) +
-                          " (sense " + std::to_string(pdu.data.size()) +
-                          " bytes)");
-        }
-        if (!read_buf.empty() && read_received < read_buf.size()) {
-          return corruption("short read: got " +
-                            std::to_string(read_received) + " of " +
-                            std::to_string(read_buf.size()) + " bytes");
-        }
-        return Status::ok();
+        return complete(pdu, in.data.size(), read_received, read_buf.size());
       }
       default:
         return failed_precondition("unexpected PDU " +
@@ -261,6 +263,21 @@ Status IscsiInitiator::command(const Cdb& cdb, ByteSpan write_data,
                                    " during command");
     }
   }
+}
+
+Status IscsiInitiator::complete(const Pdu& status_pdu, std::size_t sense_bytes,
+                                std::size_t read_received,
+                                std::size_t read_expected) {
+  exp_stat_sn_ = status_pdu.word6 + 1;
+  if (status_pdu.byte3 != kScsiGood) {
+    return io_error("SCSI status 0x" + std::to_string(status_pdu.byte3) +
+                    " (sense " + std::to_string(sense_bytes) + " bytes)");
+  }
+  if (read_received < read_expected) {
+    return corruption("short read: got " + std::to_string(read_received) +
+                      " of " + std::to_string(read_expected) + " bytes");
+  }
+  return Status::ok();
 }
 
 Status IscsiInitiator::read(Lba lba, MutByteSpan out) {

@@ -6,7 +6,9 @@
 // target.  login() performs the login exchange, INQUIRY and READ
 // CAPACITY(10), after which the device geometry is known and read/write
 // translate to READ(10)/WRITE(10) commands (chunked to the negotiated
-// limits, R2T + Data-Out for large writes).
+// limits, R2T + Data-Out for large writes).  Write data goes out from the
+// caller's span and Data-In lands straight in the caller's buffer; a
+// command completes on a SCSI Response or on a Data-In carrying status.
 //
 // One outstanding command at a time; calls are serialized by a mutex.
 #pragma once
@@ -76,6 +78,12 @@ class IscsiInitiator final : public BlockDevice {
   /// the full write payload (immediate + R2T flow handled inside).
   Status command(const struct Cdb& cdb, ByteSpan write_data,
                  MutByteSpan read_buf);
+
+  /// Retire the command on its status (a SCSI Response, or a Data-In with
+  /// the S bit): record StatSN, map the SCSI status, check the read landed
+  /// in full.
+  Status complete(const Pdu& status_pdu, std::size_t sense_bytes,
+                  std::size_t read_received, std::size_t read_expected);
 
   /// One READ(10)/WRITE(10) worth of blocks per command.
   std::uint32_t blocks_per_command() const;

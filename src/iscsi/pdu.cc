@@ -5,30 +5,38 @@
 
 namespace prins::iscsi {
 
-Bytes Pdu::encode(bool header_digest) const {
-  Bytes out(kBhsSize, 0);
+PduHeader Pdu::encode_header(bool header_digest, std::size_t data_len) const {
+  PduHeader header;
+  const MutByteSpan out(header.bytes.data(), kBhsSize);
   out[0] = static_cast<Byte>(static_cast<std::uint8_t>(opcode) |
                              (immediate ? 0x40 : 0x00));
   out[1] = flags;
   out[2] = byte2;
   out[3] = byte3;
   // byte 4: TotalAHSLength = 0 (no additional header segments)
-  store_be24(MutByteSpan(out).subspan(5, 3),
-             static_cast<std::uint32_t>(data.size()));
-  store_be64(MutByteSpan(out).subspan(8, 8), lun);
-  store_be32(MutByteSpan(out).subspan(16, 4), itt);
-  store_be32(MutByteSpan(out).subspan(20, 4), word5);
-  store_be32(MutByteSpan(out).subspan(24, 4), word6);
-  store_be32(MutByteSpan(out).subspan(28, 4), word7);
-  store_be32(MutByteSpan(out).subspan(32, 4), word8);
-  store_be32(MutByteSpan(out).subspan(36, 4), word9);
-  store_be32(MutByteSpan(out).subspan(40, 4), word10);
-  store_be32(MutByteSpan(out).subspan(44, 4), word11);
+  store_be24(out.subspan(5, 3), static_cast<std::uint32_t>(data_len));
+  store_be64(out.subspan(8, 8), lun);
+  store_be32(out.subspan(16, 4), itt);
+  store_be32(out.subspan(20, 4), word5);
+  store_be32(out.subspan(24, 4), word6);
+  store_be32(out.subspan(28, 4), word7);
+  store_be32(out.subspan(32, 4), word8);
+  store_be32(out.subspan(36, 4), word9);
+  store_be32(out.subspan(40, 4), word10);
+  store_be32(out.subspan(44, 4), word11);
   if (header_digest) {
-    Byte digest[4];
-    store_le32(digest, crc32c(ByteSpan(out).first(kBhsSize)));
-    append(out, digest);
+    store_le32(MutByteSpan(header.bytes).subspan(kBhsSize, 4),
+               crc32c(ByteSpan(out)));
+    header.size = kBhsSize + 4;
   }
+  return header;
+}
+
+Bytes Pdu::encode(bool header_digest) const {
+  const PduHeader header = encode_header(header_digest, data.size());
+  Bytes out;
+  out.reserve(header.size + data.size() + 3);
+  append(out, header.span());
   append(out, data);
   // Pad the data segment to a 4-byte boundary (RFC 3720 §10.2.3).
   while (out.size() % 4 != 0) out.push_back(0);
@@ -36,12 +44,19 @@ Bytes Pdu::encode(bool header_digest) const {
 }
 
 Result<Pdu> Pdu::decode(ByteSpan message, bool header_digest) {
+  PRINS_ASSIGN_OR_RETURN(PduView view, decode_view(message, header_digest));
+  view.pdu.data = to_bytes(view.data);
+  return std::move(view.pdu);
+}
+
+Result<PduView> Pdu::decode_view(ByteSpan message, bool header_digest) {
   const std::size_t header_bytes = kBhsSize + (header_digest ? 4 : 0);
   if (message.size() < header_bytes) {
     return corruption("PDU shorter than BHS: " +
                       std::to_string(message.size()) + " bytes");
   }
-  Pdu pdu;
+  PduView view;
+  Pdu& pdu = view.pdu;
   const std::uint8_t op_byte = message[0];
   pdu.immediate = (op_byte & 0x40) != 0;
   const auto op = static_cast<Opcode>(op_byte & 0x3F);
@@ -91,8 +106,17 @@ Result<Pdu> Pdu::decode(ByteSpan message, bool header_digest) {
   if (message.size() < header_bytes + padded) {
     return corruption("PDU data segment truncated");
   }
-  pdu.data = to_bytes(message.subspan(header_bytes, data_len));
-  return pdu;
+  view.data = message.subspan(header_bytes, data_len);
+  return view;
+}
+
+Status send_pdu(Transport& transport, const Pdu& pdu, ByteSpan data,
+                bool header_digest) {
+  static constexpr Byte kPad[3] = {0, 0, 0};
+  const PduHeader header = pdu.encode_header(header_digest, data.size());
+  const ByteSpan parts[] = {header.span(), data,
+                            ByteSpan(kPad, (4 - data.size() % 4) % 4)};
+  return transport.send_vec(parts);
 }
 
 Bytes encode_login_kv(const std::map<std::string, std::string>& kv) {

@@ -8,12 +8,14 @@
 // Field layouts follow RFC 3720 §10; unused fields are zero.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <map>
 #include <string>
 
 #include "common/bytes.h"
 #include "common/status.h"
+#include "net/transport.h"
 
 namespace prins::iscsi {
 
@@ -37,6 +39,16 @@ enum class Opcode : std::uint8_t {
 };
 
 constexpr std::size_t kBhsSize = 48;
+
+/// An encoded BHS plus, when negotiated, its CRC32C header digest.
+struct PduHeader {
+  std::array<Byte, kBhsSize + 4> bytes{};
+  std::size_t size = kBhsSize;
+
+  ByteSpan span() const { return ByteSpan(bytes.data(), size); }
+};
+
+struct PduView;
 
 /// Decoded generic PDU: the BHS fields common to all opcodes plus the raw
 /// opcode-specific bytes, which typed views below interpret.
@@ -62,10 +74,33 @@ struct Pdu {
   /// (HeaderDigest=CRC32C); login PDUs themselves are never digested.
   Bytes encode(bool header_digest = false) const;
 
+  /// Serialize just the BHS [+ header digest], declaring a data segment of
+  /// `data_len` bytes (this->data is ignored).  send_pdu() stacks it with
+  /// a data span and the pad, so a payload goes out without a copy.
+  PduHeader encode_header(bool header_digest, std::size_t data_len) const;
+
   /// Parse one PDU from a transport message; verifies the header digest
   /// when the connection negotiated one.
   static Result<Pdu> decode(ByteSpan message, bool header_digest = false);
+
+  /// Zero-copy decode: identical validation to decode(), but the data
+  /// segment aliases `message` (the returned view's pdu.data stays empty).
+  static Result<PduView> decode_view(ByteSpan message,
+                                     bool header_digest = false);
 };
+
+/// A decoded PDU whose data segment is a view into the received message;
+/// valid only while that message stays alive and unmodified.
+struct PduView {
+  Pdu pdu;        // BHS fields; pdu.data is empty
+  ByteSpan data;  // data segment (unpadded)
+};
+
+/// Send `pdu`'s header with `data` as its data segment, scatter-gather
+/// (header, data span, pad) through Transport::send_vec: the peer receives
+/// exactly what encode() would produce with `data` in place of pdu.data.
+Status send_pdu(Transport& transport, const Pdu& pdu, ByteSpan data,
+                bool header_digest);
 
 // Flag bits.
 inline constexpr std::uint8_t kFlagFinal = 0x80;      // F bit

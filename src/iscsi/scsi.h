@@ -73,5 +73,8 @@ Bytes make_sense(std::uint8_t sense_key, std::uint8_t asc, std::uint8_t ascq);
 inline Bytes sense_lba_out_of_range() { return make_sense(0x5, 0x21, 0x00); }
 inline Bytes sense_invalid_cdb() { return make_sense(0x5, 0x24, 0x00); }
 inline Bytes sense_medium_error() { return make_sense(0x3, 0x11, 0x00); }
+/// ABORTED COMMAND, DATA PHASE ERROR: a Data-Out outside the R2T's
+/// in-order sequence.
+inline Bytes sense_data_phase_error() { return make_sense(0xB, 0x4B, 0x00); }
 
 }  // namespace prins::iscsi

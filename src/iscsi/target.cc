@@ -34,7 +34,11 @@ Status IscsiTarget::serve(Transport& transport) {
 Status IscsiTarget::handle_frame(Transport& transport, Session& session,
                                  ByteSpan message, bool* done) {
   *done = false;
-  PRINS_ASSIGN_OR_RETURN(Pdu pdu, Pdu::decode(message, session.header_digest));
+  // The data segment stays a view into `message`: immediate write data
+  // reaches the device without a staging copy.
+  PRINS_ASSIGN_OR_RETURN(PduView in,
+                         Pdu::decode_view(message, session.header_digest));
+  const Pdu& pdu = in.pdu;
 
   if (!session.logged_in && pdu.opcode != Opcode::kLoginRequest) {
     return failed_precondition("PDU " + std::string(opcode_name(pdu.opcode)) +
@@ -47,16 +51,16 @@ Status IscsiTarget::handle_frame(Transport& transport, Session& session,
       return failed_precondition("expected Data-Out for ITT " +
                                  std::to_string(session.pending.itt));
     }
-    return handle_data_out(transport, session, pdu);
+    return handle_data_out(transport, session, pdu, in.data);
   }
 
   switch (pdu.opcode) {
     case Opcode::kLoginRequest:
-      PRINS_RETURN_IF_ERROR(handle_login(transport, session, pdu));
+      PRINS_RETURN_IF_ERROR(handle_login(transport, session, pdu, in.data));
       break;
     case Opcode::kScsiCommand:
       commands_.fetch_add(1, std::memory_order_relaxed);
-      PRINS_RETURN_IF_ERROR(handle_scsi(transport, session, pdu));
+      PRINS_RETURN_IF_ERROR(handle_scsi(transport, session, pdu, in.data));
       break;
     case Opcode::kNopOut: {
       if (pdu.itt == 0xFFFFFFFFu) break;  // unsolicited ping, no reply
@@ -66,14 +70,13 @@ Status IscsiTarget::handle_frame(Transport& transport, Session& session,
       reply.itt = pdu.itt;
       reply.word6 = session.stat_sn++;
       reply.word7 = session.exp_cmd_sn;
-      reply.data = pdu.data;  // echo ping payload
-      PRINS_RETURN_IF_ERROR(
-          transport.send(reply.encode(session.header_digest)));
+      PRINS_RETURN_IF_ERROR(  // echo the ping payload
+          send_pdu(transport, reply, in.data, session.header_digest));
       break;
     }
     case Opcode::kTextRequest: {
       // Discovery: answer SendTargets with the target we serve.
-      auto kv = decode_login_kv(pdu.data);
+      auto kv = decode_login_kv(in.data);
       Pdu reply;
       reply.opcode = Opcode::kTextResponse;
       reply.flags = kFlagFinal;
@@ -118,8 +121,8 @@ Status IscsiTarget::handle_frame(Transport& transport, Session& session,
 }
 
 Status IscsiTarget::handle_login(Transport& transport, Session& session,
-                                 const Pdu& request) {
-  auto kv = decode_login_kv(request.data);
+                                 const Pdu& request, ByteSpan data) {
+  auto kv = decode_login_kv(data);
   PRINS_LOG(kDebug) << "login from "
                     << (kv.contains("InitiatorName") ? kv["InitiatorName"]
                                                      : "<anonymous>");
@@ -172,8 +175,49 @@ Status IscsiTarget::send_response(Transport& transport, Session& session,
   return transport.send(resp.encode(session.header_digest));
 }
 
+Status IscsiTarget::send_data_in(Transport& transport, Session& session,
+                                 std::uint32_t itt, ByteSpan data) {
+  if (data.empty()) return send_response(transport, session, itt, kScsiGood);
+  // Stream the payload as Data-In PDUs of at most max_data_segment bytes,
+  // straight from `data`.  The last one carries GOOD status (S bit, RFC
+  // 3720 §10.7.3), so a read that fits one segment is one PDU.
+  std::uint32_t data_sn = 0;
+  for (std::size_t off = 0; off < data.size();
+       off += config_.max_data_segment) {
+    const std::size_t len =
+        std::min<std::size_t>(config_.max_data_segment, data.size() - off);
+    const bool last = off + len == data.size();
+    Pdu din;
+    din.opcode = Opcode::kDataIn;
+    din.itt = itt;
+    din.word5 = 0xFFFFFFFFu;  // TTT reserved
+    din.word6 = last ? session.stat_sn++ : session.stat_sn;
+    din.word7 = session.exp_cmd_sn;
+    din.word8 = session.exp_cmd_sn + 63;  // MaxCmdSN, as send_response
+    din.word9 = data_sn++;
+    din.word10 = static_cast<std::uint32_t>(off);  // buffer offset
+    if (last) {
+      din.flags = kFlagFinal | kFlagStatus;
+      din.byte3 = kScsiGood;
+    }
+    PRINS_RETURN_IF_ERROR(send_pdu(transport, din, data.subspan(off, len),
+                                   session.header_digest));
+  }
+  return Status::ok();
+}
+
+Status IscsiTarget::finish_write(Transport& transport, Session& session,
+                                 std::uint32_t itt, std::uint64_t lba,
+                                 ByteSpan data) {
+  if (!device_->write(lba, data).is_ok()) {
+    return send_response(transport, session, itt, kScsiCheckCondition,
+                         sense_medium_error());
+  }
+  return send_response(transport, session, itt, kScsiGood);
+}
+
 Status IscsiTarget::handle_scsi(Transport& transport, Session& session,
-                                const Pdu& command) {
+                                const Pdu& command, ByteSpan data) {
   session.exp_cmd_sn = command.word6 + 1;
   // The CDB occupies BHS bytes 32-47, i.e. words 8..11 in wire order.
   Byte cdb_bytes[kCdbSize];
@@ -199,52 +243,27 @@ Status IscsiTarget::handle_scsi(Transport& transport, Session& session,
       return send_response(transport, session, command.itt, kScsiGood);
     }
     case ScsiOp::kInquiry: {
-      Bytes data = make_inquiry_data();
-      if (data.size() > cdb->alloc_len) data.resize(cdb->alloc_len);
-      Pdu din;
-      din.opcode = Opcode::kDataIn;
-      din.flags = kFlagFinal;
-      din.itt = command.itt;
-      din.word5 = 0xFFFFFFFFu;  // TTT reserved
-      din.word6 = session.stat_sn;
-      din.word7 = session.exp_cmd_sn;
-      din.data = std::move(data);
-      PRINS_RETURN_IF_ERROR(transport.send(din.encode(session.header_digest)));
-      return send_response(transport, session, command.itt, kScsiGood);
+      Bytes reply = make_inquiry_data();
+      if (reply.size() > cdb->alloc_len) reply.resize(cdb->alloc_len);
+      return send_data_in(transport, session, command.itt, reply);
     }
     case ScsiOp::kReportLuns: {
-      Bytes data = make_report_luns_data({0});
-      if (data.size() > cdb->alloc_len) data.resize(cdb->alloc_len);
-      Pdu din;
-      din.opcode = Opcode::kDataIn;
-      din.flags = kFlagFinal;
-      din.itt = command.itt;
-      din.word5 = 0xFFFFFFFFu;
-      din.word6 = session.stat_sn;
-      din.word7 = session.exp_cmd_sn;
-      din.data = std::move(data);
-      PRINS_RETURN_IF_ERROR(transport.send(din.encode(session.header_digest)));
-      return send_response(transport, session, command.itt, kScsiGood);
+      Bytes reply = make_report_luns_data({0});
+      if (reply.size() > cdb->alloc_len) reply.resize(cdb->alloc_len);
+      return send_data_in(transport, session, command.itt, reply);
     }
-    case ScsiOp::kReadCapacity10: {
-      Pdu din;
-      din.opcode = Opcode::kDataIn;
-      din.flags = kFlagFinal;
-      din.itt = command.itt;
-      din.word5 = 0xFFFFFFFFu;
-      din.word6 = session.stat_sn;
-      din.word7 = session.exp_cmd_sn;
-      din.data =
-          make_read_capacity10_data(device_->num_blocks(), device_->block_size());
-      PRINS_RETURN_IF_ERROR(transport.send(din.encode(session.header_digest)));
-      return send_response(transport, session, command.itt, kScsiGood);
-    }
+    case ScsiOp::kReadCapacity10:
+      return send_data_in(
+          transport, session, command.itt,
+          make_read_capacity10_data(device_->num_blocks(),
+                                    device_->block_size()));
     case ScsiOp::kRead10:
     case ScsiOp::kRead16:
       return do_read(transport, session, command, cdb->lba, cdb->blocks);
     case ScsiOp::kWrite10:
     case ScsiOp::kWrite16:
-      return do_write(transport, session, command, cdb->lba, cdb->blocks);
+      return do_write(transport, session, command, data, cdb->lba,
+                      cdb->blocks);
   }
   return send_response(transport, session, command.itt, kScsiCheckCondition,
                        sense_invalid_cdb());
@@ -267,30 +286,12 @@ Status IscsiTarget::do_read(Transport& transport, Session& session,
     return send_response(transport, session, cmd.itt, kScsiCheckCondition,
                          sense_medium_error());
   }
-  // Stream the payload as Data-In PDUs of at most max_data_segment bytes.
-  std::uint32_t data_sn = 0;
-  for (std::uint64_t off = 0; off < total; off += config_.max_data_segment) {
-    const std::uint64_t len =
-        std::min<std::uint64_t>(config_.max_data_segment, total - off);
-    Pdu din;
-    din.opcode = Opcode::kDataIn;
-    din.itt = cmd.itt;
-    din.word5 = 0xFFFFFFFFu;
-    din.word6 = session.stat_sn;
-    din.word7 = session.exp_cmd_sn;
-    din.word9 = data_sn++;
-    din.word10 = static_cast<std::uint32_t>(off);  // buffer offset
-    din.data.assign(buffer.begin() + static_cast<std::ptrdiff_t>(off),
-                    buffer.begin() + static_cast<std::ptrdiff_t>(off + len));
-    if (off + len == total) din.flags |= kFlagFinal;
-    PRINS_RETURN_IF_ERROR(transport.send(din.encode(session.header_digest)));
-  }
-  return send_response(transport, session, cmd.itt, kScsiGood);
+  return send_data_in(transport, session, cmd.itt, buffer);
 }
 
 Status IscsiTarget::do_write(Transport& transport, Session& session,
-                             const Pdu& cmd, std::uint64_t lba,
-                             std::uint32_t blocks) {
+                             const Pdu& cmd, ByteSpan immediate,
+                             std::uint64_t lba, std::uint32_t blocks) {
   const std::uint32_t bs = device_->block_size();
   const std::uint64_t total = static_cast<std::uint64_t>(blocks) * bs;
   if (blocks == 0 ||
@@ -299,70 +300,65 @@ Status IscsiTarget::do_write(Transport& transport, Session& session,
     return send_response(transport, session, cmd.itt, kScsiCheckCondition,
                          sense_lba_out_of_range());
   }
-  Bytes buffer(total, 0);
-  // Immediate data arrives in the command PDU itself.
-  std::uint64_t received = std::min<std::uint64_t>(cmd.data.size(), total);
-  if (received > 0) std::memcpy(buffer.data(), cmd.data.data(), received);
-
-  if (received < total) {
-    // Ask for the rest with one R2T covering the remainder, then park the
-    // partial buffer in the session: the data phase completes as Data-Out
-    // PDUs arrive (handle_frame routes them to handle_data_out), so no
-    // nested recv() loop blocks the caller mid-command.
-    const std::uint32_t ttt = session.next_ttt++;
-    Pdu r2t;
-    r2t.opcode = Opcode::kR2t;
-    r2t.flags = kFlagFinal;
-    r2t.itt = cmd.itt;
-    r2t.word5 = ttt;
-    r2t.word6 = session.stat_sn;
-    r2t.word7 = session.exp_cmd_sn;
-    r2t.word9 = 0;  // R2TSN
-    r2t.word10 = static_cast<std::uint32_t>(received);       // offset
-    r2t.word11 = static_cast<std::uint32_t>(total - received);  // length
-    PRINS_RETURN_IF_ERROR(transport.send(r2t.encode(session.header_digest)));
-    session.pending.active = true;
-    session.pending.itt = cmd.itt;
-    session.pending.lba = lba;
-    session.pending.total = total;
-    session.pending.received = received;
-    session.pending.buffer = std::move(buffer);
-    return Status::ok();
+  // Immediate data arrives in the command PDU itself.  When it covers the
+  // whole transfer the device writes straight from the PDU's data segment.
+  const std::uint64_t received =
+      std::min<std::uint64_t>(immediate.size(), total);
+  if (received == total) {
+    return finish_write(transport, session, cmd.itt, lba,
+                        immediate.first(total));
   }
-
-  Status s = device_->write(lba, buffer);
-  if (!s.is_ok()) {
-    return send_response(transport, session, cmd.itt, kScsiCheckCondition,
-                         sense_medium_error());
+  // Ask for the rest with one R2T covering the remainder, after parking
+  // the partial buffer in the session: the data phase completes as
+  // Data-Out PDUs arrive (handle_frame routes them to handle_data_out), so
+  // no nested recv() loop blocks the caller mid-command.
+  PendingWrite& pending = session.pending;
+  pending.active = true;
+  pending.itt = cmd.itt;
+  pending.lba = lba;
+  pending.total = total;
+  pending.received = received;
+  pending.buffer.assign(total, 0);
+  if (received > 0) {
+    std::memcpy(pending.buffer.data(), immediate.data(), received);
   }
-  return send_response(transport, session, cmd.itt, kScsiGood);
+  Pdu r2t;
+  r2t.opcode = Opcode::kR2t;
+  r2t.flags = kFlagFinal;
+  r2t.itt = cmd.itt;
+  r2t.word5 = session.next_ttt++;
+  r2t.word6 = session.stat_sn;
+  r2t.word7 = session.exp_cmd_sn;
+  r2t.word9 = 0;  // R2TSN
+  r2t.word10 = static_cast<std::uint32_t>(received);          // offset
+  r2t.word11 = static_cast<std::uint32_t>(total - received);  // length
+  return transport.send(r2t.encode(session.header_digest));
 }
 
 Status IscsiTarget::handle_data_out(Transport& transport, Session& session,
-                                    const Pdu& dout) {
+                                    const Pdu& dout, ByteSpan data) {
   PendingWrite& pending = session.pending;
+  // The R2T asked for one in-order sequence (DataPDUInOrder=Yes): each
+  // Data-Out must start where the last one ended and stay inside the
+  // transfer.  Counting bytes instead would let a duplicated or
+  // overlapping PDU complete the write early, with zero-filled holes.
   const std::uint64_t off = dout.word10;
-  if (off + dout.data.size() > pending.total) {
+  if (off != pending.received || data.size() > pending.total - off) {
     const std::uint32_t itt = pending.itt;
     pending = PendingWrite{};
     return send_response(transport, session, itt, kScsiCheckCondition,
-                         sense_invalid_cdb());
+                         sense_data_phase_error());
   }
-  std::memcpy(pending.buffer.data() + off, dout.data.data(), dout.data.size());
-  pending.received += dout.data.size();
+  std::memcpy(pending.buffer.data() + off, data.data(), data.size());
+  pending.received += data.size();
   if (pending.received < pending.total) return Status::ok();
 
   // Data phase complete: land the write and retire the pending state.
   const std::uint32_t itt = pending.itt;
   const std::uint64_t lba = pending.lba;
-  Bytes buffer = std::move(pending.buffer);
+  const Bytes buffer = std::move(pending.buffer);
   pending = PendingWrite{};
-  Status s = device_->write(lba, buffer);
-  if (!s.is_ok()) {
-    return send_response(transport, session, itt, kScsiCheckCondition,
-                         sense_medium_error());
-  }
-  return send_response(transport, session, itt, kScsiGood);
+  return finish_write(transport, session, itt, lba, buffer);
 }
 
 std::thread serve_in_background(std::shared_ptr<IscsiTarget> target,

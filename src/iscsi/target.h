@@ -6,12 +6,14 @@
 // device and it serves READ/WRITE over any Transport.
 //
 // Supported flow per connection: login negotiation (operational ->
-// full-feature), SCSI commands with immediate write data, R2T + Data-Out
-// for writes larger than the negotiated immediate limit, chunked Data-In
-// for reads, NOP ping, logout.  One connection at a time per serve() call;
-// run several serve()s on threads for multiple initiators, or serve many
-// initiators on O(1) threads with ReactorIscsiServer
-// (iscsi/reactor_target.h).
+// full-feature), SCSI commands with immediate write data (written to the
+// device straight from the PDU), R2T + Data-Out for writes larger than the
+// negotiated immediate limit (one in-order sequence), chunked Data-In for
+// reads with GOOD status in the final Data-In (a good single-segment READ
+// is one PDU; errors still get a SCSI Response with sense), NOP ping,
+// logout.  One connection at a time per serve() call; run several
+// serve()s on threads for multiple initiators, or serve many initiators on
+// O(1) threads with ReactorIscsiServer (iscsi/reactor_target.h).
 //
 // The PDU loop is a pure state machine: handle_frame() consumes one PDU
 // and never calls recv() — a write awaiting Data-Out after an R2T parks
@@ -59,8 +61,9 @@ class IscsiTarget {
 
   /// A write command mid-flight: the R2T went out and the session is
   /// collecting Data-Out PDUs into `buffer` until `received` covers the
-  /// transfer.  While active, any PDU other than the matching Data-Out is
-  /// a protocol error (the initiator owes us the data phase).
+  /// transfer.  Data-Out must arrive in order: each starts at `received`.
+  /// While active, any PDU other than the matching Data-Out is a protocol
+  /// error (the initiator owes us the data phase).
   struct PendingWrite {
     bool active = false;
     std::uint32_t itt = 0;
@@ -84,17 +87,24 @@ class IscsiTarget {
   Status handle_frame(Transport& transport, Session& session,
                       ByteSpan message, bool* done);
 
+  // `data` is the PDU's data segment, a view into the received message.
   Status handle_login(Transport& transport, Session& session,
-                      const Pdu& request);
+                      const Pdu& request, ByteSpan data);
   Status handle_data_out(Transport& transport, Session& session,
-                         const Pdu& dout);
+                         const Pdu& dout, ByteSpan data);
   Status handle_scsi(Transport& transport, Session& session,
-                     const Pdu& command);
+                     const Pdu& command, ByteSpan data);
   Status do_read(Transport& transport, Session& session, const Pdu& cmd,
                  std::uint64_t lba, std::uint32_t blocks);
-  Status do_write(Transport& transport, Session& session,
-                  const Pdu& cmd, std::uint64_t lba,
-                  std::uint32_t blocks);
+  Status do_write(Transport& transport, Session& session, const Pdu& cmd,
+                  ByteSpan immediate, std::uint64_t lba, std::uint32_t blocks);
+  /// Answer a read-type command with `data` as Data-In PDUs, the last one
+  /// carrying GOOD status (no separate SCSI Response).
+  Status send_data_in(Transport& transport, Session& session,
+                      std::uint32_t itt, ByteSpan data);
+  /// Write `data` at `lba` and answer with the SCSI Response.
+  Status finish_write(Transport& transport, Session& session,
+                      std::uint32_t itt, std::uint64_t lba, ByteSpan data);
   Status send_response(Transport& transport, Session& session,
                        std::uint32_t itt, std::uint8_t scsi_status,
                        ByteSpan sense = {});

@@ -26,6 +26,11 @@
 namespace prins {
 namespace {
 
+// writev() caps the iovec count; callers send at most a handful of parts
+// (the engine 3, iSCSI 3), so a small fixed array plus the length prefix
+// covers them.  More parts fall back to one contiguous copy.
+constexpr std::size_t kMaxSendParts = 15;
+
 Status errno_status(const std::string& what) {
   return io_error(what + ": " + std::strerror(errno));
 }
@@ -33,6 +38,15 @@ Status errno_status(const std::string& what) {
 void set_nonblocking(int fd) {
   const int flags = ::fcntl(fd, F_GETFL, 0);
   if (flags >= 0) ::fcntl(fd, F_SETFL, flags | O_NONBLOCK);
+}
+
+/// writev without SIGPIPE: a peer that reset the connection surfaces as
+/// EPIPE, which the state machine turns into a failed transport.
+ssize_t write_iov(int fd, iovec* iov, std::size_t count) {
+  msghdr msg{};
+  msg.msg_iov = iov;
+  msg.msg_iovlen = count;
+  return ::sendmsg(fd, &msg, MSG_NOSIGNAL);
 }
 
 void apply_socket_options(int fd, const ReactorTcpOptions& options) {
@@ -177,7 +191,7 @@ struct ReactorTcpTransport::Conn : std::enable_shared_from_this<Conn> {
         ++iov_count;
         offset = 0;
       }
-      const ssize_t n = ::writev(fd, iov, static_cast<int>(iov_count));
+      const ssize_t n = write_iov(fd, iov, iov_count);
       if (n < 0) {
         if (errno == EINTR) continue;
         if (errno == EAGAIN || errno == EWOULDBLOCK) break;
@@ -373,19 +387,28 @@ struct ReactorTcpTransport::Conn : std::enable_shared_from_this<Conn> {
     return ready != 0;
   }
 
-  /// Enqueue one framed message; blocks off-loop callers on flow control.
+  /// Send one framed message of at most kMaxSendParts parts; blocks
+  /// off-loop callers on flow control.  With the outbox empty the length
+  /// prefix and the caller's parts go straight to the socket in one
+  /// writev, as TcpTransport::send_vec does; only what the kernel did not
+  /// take is copied, into an owned frame the loop finishes on EPOLLOUT.
+  /// With frames already queued the whole message queues behind them, so
+  /// frame order holds either way.
   Status enqueue(std::span<const ByteSpan> parts) {
     std::size_t total = 0;
     for (const ByteSpan& part : parts) total += part.size();
     if (total > kMaxTcpMessageBytes) {
       return invalid_argument("message exceeds frame limit");
     }
-    Bytes frame;
-    frame.reserve(sizeof header + total);
     Byte prefix[4];
     store_le32(prefix, static_cast<std::uint32_t>(total));
-    append(frame, ByteSpan(prefix));
-    for (const ByteSpan& part : parts) append(frame, part);
+    iovec iov[kMaxSendParts + 1];
+    std::size_t iov_count = 0;
+    iov[iov_count++] = {prefix, sizeof prefix};
+    for (const ByteSpan& part : parts) {
+      if (part.empty()) continue;
+      iov[iov_count++] = {const_cast<Byte*>(part.data()), part.size()};
+    }
 
     std::unique_lock lock(mutex);
     if (!reactor->on_loop_thread()) {
@@ -393,13 +416,46 @@ struct ReactorTcpTransport::Conn : std::enable_shared_from_this<Conn> {
         return closed || out_bytes < options.outbox_limit_bytes;
       });
     }
-    if (closed) {
-      return error.is_ok() ? unavailable("transport closed") : error;
+    if (closed) return closed_status();
+    std::size_t first = 0;  // iov[first..] is what the socket has not taken
+    if (outq.empty()) {
+      while (first < iov_count) {
+        const ssize_t n = write_iov(fd, iov + first, iov_count - first);
+        if (n < 0) {
+          if (errno == EINTR) continue;
+          if (errno == EAGAIN || errno == EWOULDBLOCK) break;
+          fail_locked(errno_status("writev"), false);
+          return closed_status();
+        }
+        // Step past fully written iovecs; trim a partially written one.
+        auto done = static_cast<std::size_t>(n);
+        while (first < iov_count && done >= iov[first].iov_len) {
+          done -= iov[first].iov_len;
+          ++first;
+        }
+        if (done > 0) {
+          iov[first].iov_base = static_cast<Byte*>(iov[first].iov_base) + done;
+          iov[first].iov_len -= done;
+        }
+      }
+      if (first == iov_count) return Status::ok();
+    }
+    std::size_t tail = 0;
+    for (std::size_t i = first; i < iov_count; ++i) tail += iov[i].iov_len;
+    Bytes frame;
+    frame.reserve(tail);
+    for (std::size_t i = first; i < iov_count; ++i) {
+      append(frame, ByteSpan(static_cast<const Byte*>(iov[i].iov_base),
+                             iov[i].iov_len));
     }
     out_bytes += frame.size();
     outq.push_back(std::move(frame));
     flush_locked();
     return Status::ok();
+  }
+
+  Status closed_status() const {  // `mutex` held
+    return error.is_ok() ? unavailable("transport closed") : error;
   }
 
   Result<Bytes> take() {  // `mutex` held
@@ -474,6 +530,7 @@ Status ReactorTcpTransport::send(ByteSpan message) {
 }
 
 Status ReactorTcpTransport::send_vec(std::span<const ByteSpan> parts) {
+  if (parts.size() > kMaxSendParts) return Transport::send_vec(parts);
   return conn_->enqueue(parts);
 }
 

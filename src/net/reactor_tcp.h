@@ -7,9 +7,12 @@
 //   read side   incremental frame reassembly (4-byte length prefix, then
 //               payload) across however many readiness events it takes;
 //               completed messages land in a bounded inbox
-//   write side  send() enqueues an owned frame and opportunistically
-//               flushes; what the socket won't take is resumed by the loop
-//               on EPOLLOUT via writev across the queued frames
+//   write side  with the outbox empty, send()/send_vec() writev the length
+//               prefix and the caller's parts straight to the socket (no
+//               copy, as TcpTransport does); only an unsent tail is copied
+//               into an owned frame, which the loop resumes on EPOLLOUT via
+//               writev across the queued frames.  A send behind queued
+//               frames queues whole, so frame order holds
 //
 // The blocking Transport API is a compatibility shim over that machine:
 // recv()/recv_for() pop the inbox and, when it is empty, read the socket

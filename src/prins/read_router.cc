@@ -120,12 +120,15 @@ Status ReadRouter::read_from_replica(ReadLink& link, Lba lba, MutByteSpan out,
   req.block_size = block_size();
   req.lba = lba;
   req.sequence = next_exchange_.fetch_add(1, std::memory_order_relaxed);
-  append_le64(req.payload, min_sequence);
-  if (Status sent = link.transport->send(req.encode()); !sent.is_ok()) {
+  Byte demand[8];
+  store_le64(demand, min_sequence);
+  if (Status sent = send_framed(*link.transport, req, demand); !sent.is_ok()) {
     note_failure(link);
     return sent;
   }
-  auto reply = await_reply(link, MessageKind::kClientReadReply, req.sequence);
+  Bytes wire;  // backs the reply view until the block is copied out
+  auto reply =
+      await_reply(link, MessageKind::kClientReadReply, req.sequence, wire);
   if (!reply.is_ok()) {
     note_failure(link);
     return reply.status();
@@ -157,17 +160,17 @@ Status ReadRouter::read_from_replica(ReadLink& link, Lba lba, MutByteSpan out,
   return Status::ok();
 }
 
-Result<ReplicationMessage> ReadRouter::await_reply(ReadLink& link,
-                                                   MessageKind reply_kind,
-                                                   std::uint64_t exchange_id) {
+Result<MessageView> ReadRouter::await_reply(ReadLink& link,
+                                            MessageKind reply_kind,
+                                            std::uint64_t exchange_id,
+                                            Bytes& wire) {
   // A prior exchange that timed out here can leave its late reply buffered
   // on the transport; skim past anything that is not ours.  Lease acks echo
   // the floor and read exchange ids count from 1 too, so the sequence alone
   // cannot tell a late lease ack from a read reply: match the kind as well.
   for (int tries = 0; tries < 16; ++tries) {
-    PRINS_ASSIGN_OR_RETURN(Bytes wire,
-                           link.transport->recv_for(config_.op_timeout));
-    auto reply = ReplicationMessage::decode(wire);
+    PRINS_ASSIGN_OR_RETURN(wire, link.transport->recv_for(config_.op_timeout));
+    auto reply = ReplicationMessage::decode_view(wire);
     if (!reply.is_ok()) continue;           // torn frame; keep listening
     if (reply->sequence != exchange_id) continue;  // stale reply
     if (reply->kind != reply_kind && reply->kind != MessageKind::kNak) {
@@ -191,7 +194,8 @@ void ReadRouter::maybe_renew_lease(ReadLink& link) {
   lease.cluster_epoch = engine_->cluster_epoch();
   lease.sequence = floor;  // the lease value travels in the sequence field
   if (!link.transport->send(lease.encode()).is_ok()) return;
-  auto ack = await_reply(link, MessageKind::kAck, floor);
+  Bytes wire;
+  auto ack = await_reply(link, MessageKind::kAck, floor, wire);
   if (ack.is_ok() && ack->kind == MessageKind::kAck) {
     link.lease_published = floor;
   }

@@ -112,10 +112,10 @@ class ReadRouter final : public BlockDevice {
   /// just keeps proving freshness per LBA.
   void maybe_renew_lease(ReadLink& link);
   /// Wait for the `reply_kind` (or kNak) reply matching `exchange_id`,
-  /// skimming stale frames.
-  Result<ReplicationMessage> await_reply(ReadLink& link,
-                                         MessageKind reply_kind,
-                                         std::uint64_t exchange_id);
+  /// skimming stale frames.  The reply is decoded in place: its payload
+  /// aliases `wire`, which must outlive the returned view.
+  Result<MessageView> await_reply(ReadLink& link, MessageKind reply_kind,
+                                  std::uint64_t exchange_id, Bytes& wire);
   ReadLink* pick_link();
   void note_success(ReadLink& link);
   void note_failure(ReadLink& link);

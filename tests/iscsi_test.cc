@@ -1,10 +1,16 @@
-// Tests for the mini-iSCSI layer: PDU wire format, CDBs, and full
-// initiator/target sessions over in-proc and TCP transports.
+// Tests for the mini-iSCSI layer: PDU wire format, CDBs, full
+// initiator/target sessions over in-proc and TCP transports, and raw-PDU
+// sessions that pin what crosses the wire (one Data-In per good READ,
+// in-order Data-Out and Data-In).
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <thread>
+#include <utility>
+#include <vector>
 
 #include "block/mem_disk.h"
+#include "common/endian.h"
 #include "common/rng.h"
 #include "iscsi/initiator.h"
 #include "iscsi/pdu.h"
@@ -48,6 +54,29 @@ TEST(PduTest, EncodeDecodeRoundTrip) {
   EXPECT_EQ(back->word5, 1u);
   EXPECT_EQ(back->word11, 7u);
   EXPECT_EQ(back->data, pdu.data);
+}
+
+TEST(PduTest, ScatterGatherSendMatchesEncodeAndViewAliasesTheFrame) {
+  Pdu pdu;
+  pdu.opcode = Opcode::kDataIn;
+  pdu.flags = kFlagFinal | kFlagStatus;
+  pdu.itt = 9;
+  pdu.word6 = 4;
+  pdu.data = {1, 2, 3, 4, 5};  // 3 pad bytes on the wire
+  for (bool digest : {false, true}) {
+    auto [a, b] = make_inproc_pair();
+    ASSERT_TRUE(send_pdu(*a, pdu, pdu.data, digest).is_ok());
+    auto wire = b->recv();
+    ASSERT_TRUE(wire.is_ok());
+    EXPECT_EQ(*wire, pdu.encode(digest)) << "digest " << digest;
+    auto view = Pdu::decode_view(*wire, digest);
+    ASSERT_TRUE(view.is_ok()) << view.status().to_string();
+    EXPECT_TRUE(view->pdu.data.empty());
+    EXPECT_EQ(to_bytes(view->data), pdu.data);
+    EXPECT_EQ(view->data.data(), wire->data() + kBhsSize + (digest ? 4 : 0));
+    EXPECT_EQ(view->pdu.itt, 9u);
+    EXPECT_EQ(view->pdu.flags, kFlagFinal | kFlagStatus);
+  }
 }
 
 TEST(PduTest, AllOpcodesRoundTrip) {
@@ -438,6 +467,347 @@ TEST(IscsiSessionTest, InitiatorIsABlockDevice) {
   ASSERT_TRUE(dev.read(1, out).is_ok());
   EXPECT_EQ(out, block);
   EXPECT_EQ(dev.capacity_bytes(), 256u * 512u);
+}
+
+// ---- raw-PDU sessions ------------------------------------------------------
+//
+// These drive one side of a session PDU by PDU over an inproc pair, so a
+// test sees exactly which PDUs cross the wire and what they carry.
+
+using namespace std::chrono_literals;
+
+Result<Pdu> recv_pdu(Transport& transport) {
+  PRINS_ASSIGN_OR_RETURN(Bytes message, transport.recv_for(5s));
+  return Pdu::decode(message);
+}
+
+Pdu scsi_command(const Cdb& cdb, std::uint8_t flags, std::uint32_t itt,
+                 std::uint32_t cmd_sn, std::uint32_t edtl) {
+  Pdu cmd;
+  cmd.opcode = Opcode::kScsiCommand;
+  cmd.flags = static_cast<std::uint8_t>(kFlagFinal | flags);
+  cmd.itt = itt;
+  cmd.word5 = edtl;
+  cmd.word6 = cmd_sn;
+  Byte cdb_bytes[kCdbSize];
+  cdb.encode(cdb_bytes);
+  cmd.word8 = load_be32(ByteSpan(cdb_bytes).subspan(0, 4));
+  cmd.word9 = load_be32(ByteSpan(cdb_bytes).subspan(4, 4));
+  cmd.word10 = load_be32(ByteSpan(cdb_bytes).subspan(8, 4));
+  cmd.word11 = load_be32(ByteSpan(cdb_bytes).subspan(12, 4));
+  return cmd;
+}
+
+/// A real IscsiTarget served on a thread, spoken to in raw PDUs.
+struct RawTargetSession {
+  std::shared_ptr<MemDisk> disk;
+  std::unique_ptr<Transport> client;
+  std::thread server;
+  std::uint32_t login_stat_sn = 0;
+
+  RawTargetSession(std::uint64_t blocks, std::uint32_t block_size,
+                   TargetConfig config = {}) {
+    disk = std::make_shared<MemDisk>(blocks, block_size);
+    auto target = std::make_shared<IscsiTarget>(disk, config);
+    auto [client_end, server_end] = make_inproc_pair();
+    client = std::move(client_end);
+    server = std::thread(
+        [target, s = std::shared_ptr<Transport>(std::move(server_end))] {
+          EXPECT_TRUE(target->serve(*s).is_ok());
+        });
+    Pdu login;
+    login.opcode = Opcode::kLoginRequest;
+    login.immediate = true;
+    login.flags = static_cast<std::uint8_t>(
+        kLoginTransit | (kStageOperational << 2) | kStageFullFeature);
+    login.itt = 100;
+    EXPECT_TRUE(client->send(login.encode()).is_ok());
+    auto reply = recv_pdu(*client);
+    EXPECT_TRUE(reply.is_ok() && reply->opcode == Opcode::kLoginResponse);
+    if (reply.is_ok()) login_stat_sn = reply->word6;
+  }
+
+  ~RawTargetSession() {
+    client->close();
+    server.join();
+  }
+};
+
+TEST(IscsiSessionTest, GoodReadIsOneDataInCarryingStatus) {
+  RawTargetSession raw(16, 8192);
+  Bytes block(8192);
+  Rng rng(11);
+  rng.fill(block);
+  ASSERT_TRUE(raw.disk->write(3, block).is_ok());
+
+  // READ(10) of one 8 KiB block: one Data-In with F|S and GOOD status.
+  ASSERT_TRUE(raw.client
+                  ->send(scsi_command(make_read10(3, 1), kFlagRead, 1, 1, 8192)
+                             .encode())
+                  .is_ok());
+  auto din = recv_pdu(*raw.client);
+  ASSERT_TRUE(din.is_ok()) << din.status().to_string();
+  EXPECT_EQ(din->opcode, Opcode::kDataIn);
+  EXPECT_EQ(din->itt, 1u);
+  EXPECT_EQ(din->flags, kFlagFinal | kFlagStatus);
+  EXPECT_EQ(din->byte3, kScsiGood);
+  EXPECT_EQ(din->word6, raw.login_stat_sn + 1);  // StatSN
+  EXPECT_EQ(din->word8, 2u + 63u);               // MaxCmdSN
+  EXPECT_EQ(din->word9, 0u);                     // DataSN
+  EXPECT_EQ(din->word10, 0u);                    // buffer offset
+  EXPECT_EQ(din->data, block);
+
+  // The next PDU is the WRITE's own response — no SCSI Response for the
+  // READ sits in between — and StatSN stays gap-free through the WRITE
+  // and a SYNCHRONIZE CACHE.
+  Bytes fresh(8192, 0x5C);
+  Pdu write = scsi_command(make_write10(4, 1), kFlagWrite, 2, 2, 8192);
+  write.data = fresh;
+  ASSERT_TRUE(raw.client->send(write.encode()).is_ok());
+  auto wresp = recv_pdu(*raw.client);
+  ASSERT_TRUE(wresp.is_ok());
+  EXPECT_EQ(wresp->opcode, Opcode::kScsiResponse);
+  EXPECT_EQ(wresp->itt, 2u);
+  EXPECT_EQ(wresp->byte3, kScsiGood);
+  EXPECT_EQ(wresp->word6, raw.login_stat_sn + 2);
+  Bytes landed(8192);
+  ASSERT_TRUE(raw.disk->read(4, landed).is_ok());
+  EXPECT_EQ(landed, fresh);
+
+  ASSERT_TRUE(
+      raw.client
+          ->send(scsi_command(make_synchronize_cache10(), 0, 3, 3, 0).encode())
+          .is_ok());
+  auto sresp = recv_pdu(*raw.client);
+  ASSERT_TRUE(sresp.is_ok());
+  EXPECT_EQ(sresp->opcode, Opcode::kScsiResponse);
+  EXPECT_EQ(sresp->itt, 3u);
+  EXPECT_EQ(sresp->word6, raw.login_stat_sn + 3);
+}
+
+TEST(IscsiSessionTest, SplitReadCarriesStatusOnlyOnItsLastDataIn) {
+  TargetConfig config;
+  config.max_data_segment = 2048;
+  RawTargetSession raw(16, 8192, config);
+  Bytes block(8192);
+  Rng rng(12);
+  rng.fill(block);
+  ASSERT_TRUE(raw.disk->write(0, block).is_ok());
+
+  ASSERT_TRUE(raw.client
+                  ->send(scsi_command(make_read10(0, 1), kFlagRead, 1, 1, 8192)
+                             .encode())
+                  .is_ok());
+  Bytes assembled;
+  for (std::uint32_t i = 0; i < 4; ++i) {
+    auto din = recv_pdu(*raw.client);
+    ASSERT_TRUE(din.is_ok()) << din.status().to_string();
+    ASSERT_EQ(din->opcode, Opcode::kDataIn) << i;
+    EXPECT_EQ(din->word9, i);          // DataSN
+    EXPECT_EQ(din->word10, i * 2048);  // in-order offsets
+    EXPECT_EQ(din->data.size(), 2048u);
+    const bool last = i == 3;
+    EXPECT_EQ(din->flags, last ? kFlagFinal | kFlagStatus : 0) << i;
+    if (last) {
+      EXPECT_EQ(din->byte3, kScsiGood);
+      EXPECT_EQ(din->word6, raw.login_stat_sn + 1);
+    }
+    append(assembled, din->data);
+  }
+  EXPECT_EQ(assembled, block);
+
+  // StatSN advanced once for the whole READ.
+  ASSERT_TRUE(
+      raw.client
+          ->send(scsi_command(make_synchronize_cache10(), 0, 2, 2, 0).encode())
+          .is_ok());
+  auto sresp = recv_pdu(*raw.client);
+  ASSERT_TRUE(sresp.is_ok());
+  EXPECT_EQ(sresp->opcode, Opcode::kScsiResponse);
+  EXPECT_EQ(sresp->word6, raw.login_stat_sn + 2);
+}
+
+TEST(IscsiSessionTest, TargetRejectsOverlappingDataOut) {
+  // A duplicated Data-Out adds up to the transfer length but leaves a hole.
+  // The target must not count bytes: it answers CHECK CONDITION and the
+  // device keeps its old contents.
+  RawTargetSession raw(16, 512);
+  const Bytes before(2048, 0xAA);
+  ASSERT_TRUE(raw.disk->write(2, before).is_ok());
+
+  // WRITE(10) of 4 blocks with no immediate data: the target asks for all
+  // 2048 bytes with one R2T.
+  ASSERT_TRUE(raw.client
+                  ->send(scsi_command(make_write10(2, 4), kFlagWrite, 1, 1,
+                                      2048)
+                             .encode())
+                  .is_ok());
+  auto r2t = recv_pdu(*raw.client);
+  ASSERT_TRUE(r2t.is_ok());
+  ASSERT_EQ(r2t->opcode, Opcode::kR2t);
+  EXPECT_EQ(r2t->word10, 0u);
+  EXPECT_EQ(r2t->word11, 2048u);
+  for (int copy = 0; copy < 2; ++copy) {  // the first half, twice
+    Pdu dout;
+    dout.opcode = Opcode::kDataOut;
+    dout.flags = copy == 1 ? kFlagFinal : 0;
+    dout.itt = 1;
+    dout.word5 = r2t->word5;
+    dout.word9 = static_cast<std::uint32_t>(copy);
+    dout.word10 = 0;
+    dout.data.assign(1024, 0x11);
+    ASSERT_TRUE(raw.client->send(dout.encode()).is_ok());
+  }
+  auto resp = recv_pdu(*raw.client);
+  ASSERT_TRUE(resp.is_ok());
+  ASSERT_EQ(resp->opcode, Opcode::kScsiResponse);
+  EXPECT_EQ(resp->itt, 1u);
+  EXPECT_EQ(resp->byte3, kScsiCheckCondition);
+  Bytes after(2048);
+  ASSERT_TRUE(raw.disk->read(2, after).is_ok());
+  EXPECT_EQ(after, before);
+
+  // The session survives: an in-order retry lands.
+  Pdu retry = scsi_command(make_write10(2, 4), kFlagWrite, 2, 2, 2048);
+  retry.data.assign(2048, 0x22);
+  ASSERT_TRUE(raw.client->send(retry.encode()).is_ok());
+  auto retry_resp = recv_pdu(*raw.client);
+  ASSERT_TRUE(retry_resp.is_ok());
+  EXPECT_EQ(retry_resp->byte3, kScsiGood);
+  ASSERT_TRUE(raw.disk->read(2, after).is_ok());
+  EXPECT_EQ(after, retry.data);
+}
+
+/// Plays a target that reports status in a separate SCSI Response: answers
+/// login, INQUIRY and READ CAPACITY, hands each READ to `on_read`, and
+/// returns at logout or disconnect.
+void script_target(
+    Transport& transport, std::uint32_t block_size, std::uint32_t blocks,
+    const std::function<void(Transport&, const Pdu& cmd,
+                             std::uint32_t& stat_sn)>& on_read) {
+  std::uint32_t stat_sn = 1;
+  for (;;) {
+    auto pdu = recv_pdu(transport);
+    if (!pdu.is_ok()) return;
+    Pdu reply;
+    reply.itt = pdu->itt;
+    switch (pdu->opcode) {
+      case Opcode::kLoginRequest:
+        reply.opcode = Opcode::kLoginResponse;
+        reply.flags = static_cast<std::uint8_t>(
+            kLoginTransit | (kStageOperational << 2) | kStageFullFeature);
+        reply.word6 = stat_sn++;
+        reply.data = encode_login_kv({{"TargetName", "iqn.scripted"}});
+        ASSERT_TRUE(transport.send(reply.encode()).is_ok());
+        break;
+      case Opcode::kLogoutRequest:
+        reply.opcode = Opcode::kLogoutResponse;
+        reply.flags = kFlagFinal;
+        reply.word6 = stat_sn++;
+        (void)transport.send(reply.encode());
+        return;
+      case Opcode::kScsiCommand: {
+        Byte cdb_bytes[kCdbSize];
+        store_be32(MutByteSpan(cdb_bytes).subspan(0, 4), pdu->word8);
+        store_be32(MutByteSpan(cdb_bytes).subspan(4, 4), pdu->word9);
+        store_be32(MutByteSpan(cdb_bytes).subspan(8, 4), pdu->word10);
+        store_be32(MutByteSpan(cdb_bytes).subspan(12, 4), pdu->word11);
+        auto cdb = Cdb::decode(cdb_bytes);
+        ASSERT_TRUE(cdb.is_ok());
+        if (cdb->op == ScsiOp::kRead10) {
+          on_read(transport, *pdu, stat_sn);
+          break;
+        }
+        Pdu din;
+        din.opcode = Opcode::kDataIn;
+        din.flags = kFlagFinal;  // no S bit: status follows separately
+        din.itt = pdu->itt;
+        din.data = cdb->op == ScsiOp::kInquiry
+                       ? make_inquiry_data()
+                       : make_read_capacity10_data(blocks, block_size);
+        if (cdb->op == ScsiOp::kInquiry) din.data.resize(cdb->alloc_len);
+        ASSERT_TRUE(transport.send(din.encode()).is_ok());
+        reply.opcode = Opcode::kScsiResponse;
+        reply.flags = kFlagFinal;
+        reply.byte3 = kScsiGood;
+        reply.word6 = stat_sn++;
+        ASSERT_TRUE(transport.send(reply.encode()).is_ok());
+        break;
+      }
+      default:
+        FAIL() << "unexpected " << opcode_name(pdu->opcode);
+    }
+  }
+}
+
+/// Send `chunks` as Data-In PDUs at the given offsets (no S bit), then a
+/// GOOD SCSI Response.
+void send_data_then_status(Transport& transport, const Pdu& cmd,
+                           std::uint32_t& stat_sn,
+                           const std::vector<std::pair<std::uint32_t, Bytes>>&
+                               chunks) {
+  std::uint32_t data_sn = 0;
+  for (const auto& [offset, bytes] : chunks) {
+    Pdu din;
+    din.opcode = Opcode::kDataIn;
+    din.itt = cmd.itt;
+    din.word9 = data_sn++;
+    din.word10 = offset;
+    din.data = bytes;
+    if (data_sn == chunks.size()) din.flags = kFlagFinal;
+    ASSERT_TRUE(transport.send(din.encode()).is_ok());
+  }
+  Pdu resp;
+  resp.opcode = Opcode::kScsiResponse;
+  resp.flags = kFlagFinal;
+  resp.byte3 = kScsiGood;
+  resp.itt = cmd.itt;
+  resp.word6 = stat_sn++;
+  ASSERT_TRUE(transport.send(resp.encode()).is_ok());
+}
+
+TEST(IscsiSessionTest, InitiatorCompletesOnSeparateScsiResponse) {
+  // A target that never sets the S bit still completes every command: the
+  // initiator keeps reading until the SCSI Response.
+  Bytes block(4096);
+  Rng rng(13);
+  rng.fill(block);
+  auto [client_end, server_end] = make_inproc_pair();
+  std::thread target([&, server = std::move(server_end)] {
+    script_target(*server, 4096, 8,
+                  [&](Transport& t, const Pdu& cmd, std::uint32_t& stat_sn) {
+                    send_data_then_status(t, cmd, stat_sn, {{0, block}});
+                  });
+  });
+  auto init = IscsiInitiator::login(std::move(client_end));
+  ASSERT_TRUE(init.is_ok()) << init.status().to_string();
+  EXPECT_EQ((*init)->block_size(), 4096u);
+  EXPECT_EQ((*init)->num_blocks(), 8u);
+  Bytes out(4096);
+  ASSERT_TRUE((*init)->read(5, out).is_ok());
+  EXPECT_EQ(out, block);
+  init->reset();  // logs out; the scripted target returns
+  target.join();
+}
+
+TEST(IscsiSessionTest, InitiatorRejectsOverlappingDataIn) {
+  // Two Data-Ins for the first half add up to the transfer length; counted
+  // by bytes they would pass for a full read with a hole in it.
+  auto [client_end, server_end] = make_inproc_pair();
+  std::thread target([server = std::move(server_end)] {
+    script_target(*server, 4096, 8,
+                  [](Transport& t, const Pdu& cmd, std::uint32_t& stat_sn) {
+                    const Bytes half(2048, 0x33);
+                    send_data_then_status(t, cmd, stat_sn,
+                                          {{0, half}, {0, half}});
+                  });
+  });
+  auto init = IscsiInitiator::login(std::move(client_end));
+  ASSERT_TRUE(init.is_ok()) << init.status().to_string();
+  Bytes out(4096);
+  EXPECT_EQ((*init)->read(0, out).code(), ErrorCode::kCorruption);
+  init->reset();  // logs out (skimming the stale response)
+  target.join();
 }
 
 }  // namespace

@@ -1,11 +1,12 @@
 // Tests for the event-driven transport substrate: the TimerWheel in
 // isolation (caller-supplied clock, fully deterministic), the Reactor loop
 // (timers, posts, fd dispatch), and ReactorTcpTransport's per-connection
-// state machines — partial-write resume, blocked receivers reading their
-// own socket (deadlines, serialized readers, the hand-back to a message
-// handler, a one-CPU lost-wakeup soak), a 256-connection echo soak through
-// the handler path, and a reconnect storm under FaultyListener-injected
-// disconnects.
+// state machines — partial-write resume (the outbox flush, and a direct
+// write whose unsent tail finishes through the outbox), blocked receivers
+// reading their own socket (deadlines, serialized readers, the hand-back
+// to a message handler, a one-CPU lost-wakeup soak), a 256-connection echo
+// soak through the handler path, and a reconnect storm under
+// FaultyListener-injected disconnects.
 #include <gtest/gtest.h>
 #include <sched.h>
 
@@ -275,6 +276,80 @@ TEST(ReactorTcpTest, PartialWriteResumesUnderTinySndbuf) {
   }
   (*client)->close();
   server.join();
+}
+
+TEST(ReactorTcpTest, DirectWriteTailFinishesThroughTheOutbox) {
+  // send_vec writes a frame's parts straight to the socket while the
+  // outbox is empty and copies only the unsent tail.  Tiny socket buffers
+  // and a reader that stalls, then drains, make direct writes stop part
+  // way through frames of every size; several senders interleave.  Every
+  // frame must arrive byte-exact and in per-sender order.
+  constexpr std::uint32_t kSenders = 4;
+  constexpr std::uint32_t kFrames = 32;
+  auto pool = ReactorPool::create(1);
+  ASSERT_TRUE(pool.is_ok());
+  ReactorTcpOptions tiny;
+  tiny.sndbuf_bytes = 4096;
+  tiny.outbox_limit_bytes = 256 * 1024;
+  auto listener = ReactorListener::listen(*pool, 0, tiny);
+  ASSERT_TRUE(listener.is_ok());
+  auto client = ReactorTcpTransport::connect(
+      (*pool)->at(0).shared_from_this(), "127.0.0.1", (*listener)->port(),
+      tiny);
+  ASSERT_TRUE(client.is_ok());
+  auto server = (*listener)->accept();
+  ASSERT_TRUE(server.is_ok());
+  auto* rt = dynamic_cast<ReactorTcpTransport*>(client->get());
+  ASSERT_NE(rt, nullptr);
+
+  // Frame (sender, seq): an 8-byte tag part, then 1-3 body parts whose
+  // sizes run from 64 B to well past the socket buffer, all derived from
+  // (sender, seq) so the reader can rebuild the expected bytes.
+  const auto make_parts = [](std::uint32_t sender, std::uint32_t seq) {
+    static constexpr std::size_t kSizes[] = {64, 700, 4096, 9000, 70000};
+    Rng rng(sender * 1000 + seq + 1);
+    std::vector<Bytes> parts(1, Bytes(8));
+    store_le32(MutByteSpan(parts[0]).first(4), sender);
+    store_le32(MutByteSpan(parts[0]).subspan(4, 4), seq);
+    const std::size_t bodies = 1 + rng.next_below(3);
+    for (std::size_t i = 0; i < bodies; ++i) {
+      parts.emplace_back(kSizes[rng.next_below(std::size(kSizes))]);
+      rng.fill(parts.back());
+    }
+    return parts;
+  };
+
+  std::atomic<bool> saw_queued_tail{false};
+  std::vector<std::thread> senders;
+  for (std::uint32_t sender = 0; sender < kSenders; ++sender) {
+    senders.emplace_back([&, sender] {
+      for (std::uint32_t seq = 0; seq < kFrames; ++seq) {
+        const std::vector<Bytes> parts = make_parts(sender, seq);
+        std::vector<ByteSpan> spans(parts.begin(), parts.end());
+        ASSERT_TRUE((*client)->send_vec(spans).is_ok());
+        if (rt->outbox_bytes() > 0) saw_queued_tail = true;
+      }
+    });
+  }
+
+  std::this_thread::sleep_for(200ms);  // stall: the socket buffers fill
+  std::vector<std::uint32_t> next(kSenders, 0);
+  for (std::uint32_t got = 0; got < kSenders * kFrames; ++got) {
+    auto frame = (*server)->recv_for(10s);
+    ASSERT_TRUE(frame.is_ok()) << frame.status().to_string();
+    ASSERT_GE(frame->size(), 8u);
+    const std::uint32_t sender = load_le32(ByteSpan(*frame).first(4));
+    const std::uint32_t seq = load_le32(ByteSpan(*frame).subspan(4, 4));
+    ASSERT_LT(sender, kSenders);
+    ASSERT_EQ(seq, next[sender]) << "sender " << sender << " out of order";
+    ++next[sender];
+    Bytes want;
+    for (const Bytes& part : make_parts(sender, seq)) append(want, part);
+    ASSERT_EQ(*frame, want) << "sender " << sender << " seq " << seq;
+  }
+  for (std::thread& t : senders) t.join();
+  EXPECT_TRUE(saw_queued_tail.load());
+  EXPECT_EQ(rt->outbox_bytes(), 0u);
 }
 
 TEST(ReactorTcpTest, RecvForDeadlineIsTheReadersPollTimeout) {

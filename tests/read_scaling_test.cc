@@ -320,8 +320,8 @@ TEST(ReadRouter, LateLeaseAckIsNotTakenForAReadReply) {
       reply.lba = req->lba;
       reply.sequence = req->sequence;
       reply.payload = block;
+      served.fetch_add(1);  // before the send: the router may check at once
       ASSERT_TRUE(link->send(reply.encode()).is_ok());
-      served.fetch_add(1);
     }
   });
 
