@@ -64,8 +64,8 @@ int main(int argc, char** argv) {
 
   // End-to-end throughput as the sender pipeline deepens and same-LBA
   // deltas coalesce (R = 2, PRINS policy).  Every engine fans out to its
-  // replicas from dedicated per-link sender threads, so throughput is set
-  // by the slowest link, not the sum of all links.
+  // replicas over independent per-link senders, so throughput is set by
+  // the slowest link, not the sum of all links.
   std::printf("=== Write throughput vs pipeline depth and coalescing "
               "(R = 2, PRINS) ===\n\n");
   std::printf("%-16s %-10s %12s %14s %8s\n", "pipeline_depth", "coalesce",

@@ -40,9 +40,8 @@ Status run() {
 
   // With PRINS_REACTOR set, both server nodes become thread-free: the
   // replica and the iSCSI target serve every session as reactor handlers
-  // (ReactorReplicaServer / ReactorIscsiServer), the engine's replica
-  // links are pumped by reactor callbacks instead of a sender thread each,
-  // and retry timers ride the epoll pool's wheel.  Either way the rest of
+  // (ReactorReplicaServer / ReactorIscsiServer), and the engine's replica
+  // links run on the epoll pool's loop without a reader thread each.  Either way the rest of
   // the program is identical: both transports speak the same wire format
   // behind the same blocking API.
   std::shared_ptr<ReactorPool> pool;
@@ -100,7 +99,6 @@ Status run() {
   engine_config.read_from_replicas = true;  // maintain the conflict window
   if (pool != nullptr) {
     engine_config.reactor = pool->at(0).shared_from_this();
-    engine_config.reactor_senders = true;
   }
   auto engine = std::make_shared<PrinsEngine>(storage_disk, engine_config);
   PRINS_ASSIGN_OR_RETURN(auto replica_link, connect_loopback(replica_port));

@@ -8,13 +8,13 @@
 // callbacks, and posted closures all run on the loop thread, so
 // per-connection state machines need no locking of their own.
 //
-// The TimerWheel is the deadline substrate: replica-link retry backoff and
-// reconnect schedules become wheel entries instead of per-thread timed
-// sleeps (see RetryPolicy).  A blocking ReactorTcpTransport::recv_for needs
-// none: its caller reads the socket itself, with the deadline as the
-// poll() timeout.  It is a classic hashed wheel — O(1)
-// schedule and cancel, slots of `tick` granularity, entries beyond the
-// horizon carry a round count — driven by advance() from the loop.
+// The TimerWheel is the deadline substrate: every replica link's reply
+// timeout and retry backoff is a wheel entry (see RetryPolicy).  A
+// blocking ReactorTcpTransport::recv_for needs none: its caller reads the
+// socket itself, with the deadline as the poll() timeout.  It is a classic
+// hashed wheel — O(1) schedule and cancel, slots of `tick` granularity,
+// entries beyond the horizon carry a round count — driven by advance()
+// from the loop.
 //
 // A ReactorPool shards connections across N single-threaded reactors
 // (round-robin) for multi-core scaling; each connection lives on exactly

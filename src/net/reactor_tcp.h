@@ -54,7 +54,7 @@ struct ReactorTcpOptions {
   int rcvbuf_bytes = 0;
 };
 
-class ReactorTcpTransport final : public Transport {
+class ReactorTcpTransport final : public HandlerTransport {
  public:
   /// Connect to host:port and register the connection on `reactor`.
   static Result<std::unique_ptr<Transport>> connect(
@@ -82,7 +82,7 @@ class ReactorTcpTransport final : public Transport {
   /// message instead of queueing to the inbox (any queued backlog is
   /// delivered first).  Set before mixing with recv(); passing nullptr
   /// restores inbox delivery.
-  void set_message_handler(std::function<void(Bytes&&)> handler);
+  void set_message_handler(std::function<void(Bytes&&)> handler) override;
 
   /// One-shot notification when the connection dies (peer hangup, I/O
   /// error, frame corruption, or close()).  Runs on the loop thread via
@@ -90,7 +90,7 @@ class ReactorTcpTransport final : public Transport {
   /// callback is consumed on first fire.  If the connection is already
   /// closed when this is installed, the callback fires immediately (still
   /// via post()).  Servers use this to drop per-connection state.
-  void set_close_handler(std::function<void(const Status&)> handler);
+  void set_close_handler(std::function<void(const Status&)> handler) override;
 
   /// Application-level read gate, independent of the inbox/outbox
   /// backpressure flags: while paused, the loop stops reading from the

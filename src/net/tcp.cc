@@ -88,8 +88,8 @@ Status TcpTransport::send(ByteSpan message) {
 Status TcpTransport::send_vec(std::span<const ByteSpan> parts) {
   const int fd = fd_.load(std::memory_order_acquire);
   if (fd < 0) return unavailable("transport closed");
-  // writev() caps the iovec count; the engine sends 3 parts, so a small
-  // fixed array (parts + length prefix) covers every caller.
+  // The engine sends 3 parts, so a small fixed iovec array (parts +
+  // length prefix) covers every caller.
   constexpr std::size_t kMaxParts = 15;
   if (parts.size() > kMaxParts) return Transport::send_vec(parts);
   std::size_t total = 0;
@@ -109,10 +109,15 @@ Status TcpTransport::send_vec(std::span<const ByteSpan> parts) {
   std::size_t remaining = sizeof header + total;
   std::size_t first = 0;
   while (remaining > 0) {
-    ssize_t n = ::writev(fd, iov + first, static_cast<int>(iov_count - first));
+    // sendmsg rather than writev: MSG_NOSIGNAL turns a reset peer into
+    // EPIPE instead of a process-killing SIGPIPE, as write_all does.
+    msghdr msg{};
+    msg.msg_iov = iov + first;
+    msg.msg_iovlen = iov_count - first;
+    ssize_t n = ::sendmsg(fd, &msg, MSG_NOSIGNAL);
     if (n < 0) {
       if (errno == EINTR) continue;
-      return errno_status("writev");
+      return errno_status("sendmsg");
     }
     remaining -= static_cast<std::size_t>(n);
     // Advance past fully-written iovecs; trim a partially-written one.

@@ -9,6 +9,7 @@
 #pragma once
 
 #include <chrono>
+#include <functional>
 #include <memory>
 #include <span>
 #include <string>
@@ -67,6 +68,25 @@ class Transport {
   /// ReactorTcpTransport inside a decorator stack and register loop-thread
   /// handlers on it, so fault injection composes with the reactor path.
   virtual Transport* underlying() { return this; }
+};
+
+/// A transport that can push each inbound message to a callback instead of
+/// queueing it for recv().  ReactorTcpTransport does so natively from its
+/// loop thread; RecvPump (net/recv_pump.h) gives any other transport the
+/// same contract.  The engine's event-driven replica sender runs on it.
+class HandlerTransport : public Transport {
+ public:
+  /// Deliver every completed message to `handler` instead of the inbox
+  /// (any queued backlog first, in order).  nullptr restores inbox delivery
+  /// for recv().  Do not mix a handler with recv(); handlers must not block.
+  virtual void set_message_handler(std::function<void(Bytes&&)> handler) = 0;
+
+  /// One-shot notification when the connection dies (peer hangup, I/O
+  /// error, or close()).  Always fires asynchronously, after every message
+  /// the handler was due; installed on a dead connection it fires at once
+  /// (still asynchronously).  Consumed on first fire.
+  virtual void set_close_handler(
+      std::function<void(const Status&)> handler) = 0;
 };
 
 class Listener {

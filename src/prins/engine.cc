@@ -8,7 +8,7 @@
 #include "common/crc32c.h"
 #include "common/env.h"
 #include "common/logging.h"
-#include "net/reactor_tcp.h"
+#include "net/recv_pump.h"
 #include "parity/xor.h"
 #include "prins/verify.h"
 
@@ -26,6 +26,10 @@ std::size_t resolve_write_shards(std::size_t requested) {
   std::size_t pow2 = 1;
   while (pow2 < n) pow2 <<= 1;
   return pow2;
+}
+
+Status full_block_reorder() {
+  return failed_precondition("out-of-order ack under a full-block policy");
 }
 
 // Codec frames add at most a small header plus bounded expansion over the
@@ -102,10 +106,14 @@ void PrinsEngine::init_shards() {
     shards_.push_back(std::move(shard));
   }
   shard_mask_ = n - 1;
-  if (config_.reactor_senders && config_.reactor == nullptr) {
-    PRINS_LOG(kWarn) << "EngineConfig::reactor_senders requires a reactor; "
-                        "falling back to threaded senders";
-    config_.reactor_senders = false;
+  if (config_.reactor == nullptr) {
+    auto reactor = Reactor::create();
+    if (!reactor.is_ok()) {
+      PRINS_LOG(kError) << "engine cannot start its reactor: "
+                        << reactor.status().to_string();
+      std::abort();
+    }
+    config_.reactor = std::move(*reactor);
   }
   sender_guard_ = std::make_shared<SenderGuard>();
   sender_guard_->engine = this;
@@ -123,10 +131,10 @@ void PrinsEngine::drop_pending() {
 }
 
 PrinsEngine::~PrinsEngine() {
-  // Silence the reactor-sender callbacks first: each message/close
-  // handler, wheel timer, and posted pump holds the guard lock for its
-  // whole run, so once `engine` is nulled under that lock, none is in
-  // flight and none will start.
+  // Silence the sender callbacks first: each message/close handler, wheel
+  // timer, and posted pump holds the guard lock for its whole run, so once
+  // `engine` is nulled under that lock, none is in flight and none will
+  // start.
   {
     std::lock_guard g(sender_guard_->m);
     sender_guard_->engine = nullptr;
@@ -135,13 +143,10 @@ PrinsEngine::~PrinsEngine() {
     std::lock_guard lock(mutex_);
     stopping_ = true;
     queue_cv_.notify_all();
-    cancel_gates_locked();
-    for (auto& link : replicas_) {
-      if (link->reactor_driven) cancel_link_timer_locked(link.get());
-    }
+    for (auto& link : replicas_) cancel_link_timer_locked(link.get());
   }
   for (auto& link : replicas_) {
-    if (link->sender.joinable()) link->sender.join();
+    if (link->healer.joinable()) link->healer.join();
   }
   if (raid_ != nullptr) raid_->set_parity_observer(nullptr);
   if (raid6_ != nullptr) raid6_->set_parity_observer(nullptr);
@@ -154,7 +159,7 @@ PrinsEngine::~PrinsEngine() {
 void PrinsEngine::add_replica(std::unique_ptr<Transport> link) {
   assert(link != nullptr);
   auto replica = std::make_unique<ReplicaLink>();
-  replica->transport = std::move(link);
+  replica->transport = with_message_handlers(std::move(link), config_.reactor);
   ReplicaLink* raw = replica.get();
   {
     std::lock_guard lock(mutex_);
@@ -162,15 +167,9 @@ void PrinsEngine::add_replica(std::unique_ptr<Transport> link) {
     raw->jitter = Rng(0x9e3779b97f4a7c15ull + raw->index);
     replicas_.push_back(std::move(replica));
   }
-  if (config_.reactor_senders && install_reactor_link(raw)) {
-    // Reactor-driven link: no sender thread.  A backlog queued before this
-    // link existed is impossible (outboxes are per-link), so the first
-    // distribute() schedules the first pump.
-    std::lock_guard lock(mutex_);
-    raw->reactor_driven = true;
-    return;
-  }
-  raw->sender = std::thread([this, raw] { sender_main(raw); });
+  // A backlog queued before this link existed is impossible (outboxes are
+  // per-link), so the first distribute() schedules the first pump.
+  install_link_handlers(raw);
 }
 
 std::size_t PrinsEngine::replica_count() const {
@@ -181,6 +180,7 @@ std::size_t PrinsEngine::replica_count() const {
 Status PrinsEngine::reattach_replica(std::size_t index,
                                      std::unique_ptr<Transport> link) {
   if (link == nullptr) return invalid_argument("null transport");
+  link = with_message_handlers(std::move(link), config_.reactor);
   ReplicaLink* replica = nullptr;
   {
     std::lock_guard lock(mutex_);
@@ -189,18 +189,13 @@ Status PrinsEngine::reattach_replica(std::size_t index,
     }
     replica = replicas_[index].get();
   }
-  bool was_reactor = false;
   {
-    // Take the link mutex so its sender is not mid-exchange on the old
+    // Take the link mutex so no exchange is mid-flight on the old
     // transport while we swap it.
     std::lock_guard link_lock(replica->mutex);
-    {
-      std::lock_guard lock(mutex_);
-      was_reactor = replica->reactor_driven;
-    }
     // An engine-initiated close must not fire the old transport's close
     // handler into fail_round.
-    if (was_reactor) clear_link_handlers(*replica);
+    clear_link_handlers(*replica);
     replica->transport->close();
     replica->transport = std::move(link);
     replica->heal_failures = 0;
@@ -215,63 +210,25 @@ Status PrinsEngine::reattach_replica(std::size_t index,
     bool any_failed = false;
     for (const auto& r : replicas_) any_failed |= r->failed;
     if (!any_failed) worker_error_ = Status::ok();
+    // Wakes a heal thread sleeping out its backoff, so the fresh link is
+    // picked up now, not at the old deadline.
     queue_cv_.notify_all();
-    // Reactor mode: the sender may be sleeping out a heal backoff on a
-    // gate; cancel it so the fresh link is picked up now, not at the old
-    // deadline.
-    cancel_gates_locked();
   }
-  if (!was_reactor) return Status::ok();
 
-  // Re-arm the reactor sender on the fresh transport.
+  // Re-arm the sender on the fresh transport.
   std::lock_guard link_lock(replica->mutex);
   std::unique_lock lock(mutex_);
   if (replica->phase == ReplicaLink::Phase::kHealing ||
       replica->phase == ReplicaLink::Phase::kExclusive) {
-    // kHealing: the heal thread owns the link; the gate cancel above woke
-    // it, it will observe failed == false and rejoin the reactor path
+    // kHealing: the heal thread owns the link; the notify above woke it,
+    // it will observe failed == false and rejoin the event-driven path
     // itself (installing handlers on this fresh transport).  kExclusive:
     // an operator exchange owns the link; end_link_exclusive reinstalls.
     return Status::ok();
   }
   cancel_link_timer_locked(replica);
   lock.unlock();
-  if (!install_reactor_link(replica)) {
-    // The fresh transport is not reactor-capable: revert this link to a
-    // threaded sender.  Un-acked round entries go back to the outbox
-    // front — sender_main resumes from there, it does not adopt rounds.
-    lock.lock();
-    replica->reactor_driven = false;
-    replica->phase = ReplicaLink::Phase::kIdle;
-    replica->in_flight -= replica->round.size();
-    for (std::size_t i = replica->round.size(); i-- > 0;) {
-      if (replica->round_acked[i]) continue;  // settled at ack time
-      replica->outbox.push_front(std::move(replica->round[i]));
-      --replica->first_slot;
-    }
-    replica->round.clear();
-    replica->round_acked.clear();
-    replica->round_attempt = 0;
-    replica->round_sent = 0;
-    replica->round_covered = 0;
-    replica->round_progress = false;
-    queue_cv_.notify_all();
-    lock.unlock();
-    if (replica->sender.joinable()) replica->sender.join();
-    replica->sender = std::thread([this, replica] { sender_main(replica); });
-    return Status::ok();
-  }
-  lock.lock();
-  if (!replica->round.empty()) {
-    // A round was mid-flight when the old transport died: retransmit its
-    // un-acked entries on the fresh one (replica dedup absorbs overlap).
-    // An immediate wheel timer reuses the kBackoff resend path.
-    replica->phase = ReplicaLink::Phase::kBackoff;
-    arm_link_timer_locked(replica, std::chrono::steady_clock::now());
-  } else {
-    replica->phase = ReplicaLink::Phase::kIdle;
-    schedule_pump_locked(replica);
-  }
+  resume_link(replica);
   return Status::ok();
 }
 
@@ -565,10 +522,7 @@ Status PrinsEngine::distribute(const ReplicationMessage& meta,
   }
   for (auto& link : replicas_) {
     append_to_outbox_locked(*link, meta, payload, raw, coalescable);
-  }
-  queue_cv_.notify_all();
-  if (config_.reactor_senders) {
-    for (auto& link : replicas_) schedule_pump_locked(link.get());
+    schedule_pump_locked(link.get());
   }
   // The message may have completed instantly on every link (heal-skip
   // fast path); keep the journal watermark moving in that case.
@@ -724,107 +678,6 @@ void PrinsEngine::advance_journal_watermark(std::uint64_t sequence) {
   journal_marked_ = sequence;
 }
 
-void PrinsEngine::sender_main(ReplicaLink* link) {
-  const std::size_t window = std::max<std::size_t>(1, config_.pipeline_depth);
-  std::vector<OutMessage> batch;
-  std::vector<bool> acked;
-  for (;;) {
-    batch.clear();
-    bool already_failed = false;
-    {
-      std::unique_lock lock(mutex_);
-      if (healable_locked(*link)) {
-        // Degraded state: hold queued traffic (producers back-pressure on
-        // capacity) and retry the heal on its backoff schedule.
-        if (config_.reactor != nullptr) {
-          const auto next_heal = link->next_heal;
-          lock.unlock();
-          reactor_wait_until(next_heal);
-          lock.lock();
-        } else {
-          queue_cv_.wait_until(lock, link->next_heal,
-                               [this] { return stopping_.load(std::memory_order_relaxed); });
-        }
-        if (stopping_) return;
-        if (!healable_locked(*link)) continue;  // reattached meanwhile
-        if (std::chrono::steady_clock::now() < link->next_heal) continue;
-        lock.unlock();
-        attempt_heal(link);
-        continue;
-      }
-      queue_cv_.wait(lock, [this, link] {
-        return stopping_.load(std::memory_order_relaxed) || healable_locked(*link) || !link->outbox.empty();
-      });
-      if (healable_locked(*link)) continue;
-      if (link->outbox.empty()) return;  // stopping with nothing left
-      while (!link->outbox.empty() && batch.size() < window) {
-        // A popped entry can no longer absorb folds.
-        const auto it = link->fold_slots.find(link->outbox.front().meta.lba);
-        if (it != link->fold_slots.end() && it->second == link->first_slot) {
-          link->fold_slots.erase(it);
-        }
-        batch.push_back(std::move(link->outbox.front()));
-        link->outbox.pop_front();
-        ++link->first_slot;
-      }
-      link->in_flight += batch.size();
-      already_failed = link->failed;
-      queue_cv_.notify_all();  // wake producers blocked on capacity
-    }
-
-    Status result = Status::ok();
-    if (already_failed) {
-      // Sticky, non-healable failure: drop the batch so producers and
-      // drain() never block behind a dead link.
-      result = unavailable("replica link is down");
-      acked.assign(batch.size(), false);
-    } else {
-      std::lock_guard link_lock(link->mutex);
-      result = exchange_batch_locked(*link, batch, acked);
-    }
-
-    std::uint64_t watermark = 0;
-    {
-      std::lock_guard lock(mutex_);
-      link->in_flight -= batch.size();
-      for (std::size_t i = 0; i < batch.size(); ++i) {
-        complete_locked(batch[i], acked[i]);
-      }
-      if (!result.is_ok()) {
-        link->failed = true;
-        link->next_heal = std::chrono::steady_clock::now();
-        // A heal's trap-log fold can re-deliver kWrite traffic, so a
-        // healable link failing on pure write batches is *degraded*, not
-        // broken: keep accepting writes and let the heal catch up.  Any
-        // other kind in the batch has no second delivery path — that
-        // failure must stick.
-        bool fold_covers_batch = true;
-        for (const OutMessage& item : batch) {
-          fold_covers_batch &= item.meta.kind == MessageKind::kWrite;
-        }
-        const bool degraded = fold_covers_batch && healable_locked(*link);
-        if (degraded) {
-          PRINS_LOG(kWarn) << "replica " << link->index
-                           << " degraded; self-heal scheduled: "
-                           << result.to_string();
-        } else if (worker_error_.is_ok() && !already_failed) {
-          worker_error_ = result;
-          PRINS_LOG(kError) << "replication failed: " << result.to_string();
-        }
-      }
-      watermark = ack_watermark_locked();
-      if (idle_locked()) drain_cv_.notify_all();
-    }
-    advance_journal_watermark(watermark);
-  }
-}
-
-Result<Bytes> PrinsEngine::recv_reply_locked(ReplicaLink& link) {
-  return config_.retry.op_timeout.count() > 0
-             ? link.transport->recv_for(config_.retry.op_timeout)
-             : link.transport->recv();
-}
-
 std::chrono::steady_clock::duration PrinsEngine::retry_delay(
     ReplicaLink& link, std::size_t attempt) {
   const RetryPolicy& r = config_.retry;
@@ -838,205 +691,6 @@ std::chrono::steady_clock::duration PrinsEngine::retry_delay(
   if (ms <= 0.0) ms = 0.0;
   return std::chrono::duration_cast<std::chrono::steady_clock::duration>(
       std::chrono::duration<double, std::milli>(ms));
-}
-
-void PrinsEngine::retry_backoff(ReplicaLink& link, std::size_t attempt) {
-  const auto delay = retry_delay(link, attempt);
-  if (delay.count() <= 0) return;
-  const auto deadline = std::chrono::steady_clock::now() + delay;
-  if (config_.reactor != nullptr) {
-    reactor_wait_until(deadline);
-    return;
-  }
-  std::unique_lock lock(mutex_);
-  queue_cv_.wait_until(lock, deadline,
-                       [this] { return stopping_.load(std::memory_order_relaxed); });
-}
-
-void PrinsEngine::cancel_gates_locked() {
-  for (const auto& gate : gates_) {
-    std::lock_guard g(gate->m);
-    gate->cancelled = true;
-    gate->cv.notify_all();
-  }
-}
-
-void PrinsEngine::reactor_wait_until(
-    std::chrono::steady_clock::time_point deadline) {
-  auto gate = std::make_shared<TimerGate>();
-  {
-    std::lock_guard lock(mutex_);
-    if (stopping_.load(std::memory_order_relaxed)) return;
-    gates_.push_back(gate);
-  }
-  // Capture only the gate: if this engine dies while the entry is still on
-  // the wheel, the callback fires against an orphaned gate and nothing else.
-  const TimerId id = config_.reactor->add_timer_at(deadline, [gate] {
-    std::lock_guard g(gate->m);
-    gate->fired = true;
-    gate->cv.notify_all();
-  });
-  bool fired;
-  {
-    std::unique_lock g(gate->m);
-    gate->cv.wait(g, [&] { return gate->fired || gate->cancelled; });
-    fired = gate->fired;
-  }
-  if (!fired) config_.reactor->cancel_timer(id);
-  std::lock_guard lock(mutex_);
-  gates_.erase(std::find(gates_.begin(), gates_.end(), gate));
-}
-
-Status PrinsEngine::exchange_batch_locked(ReplicaLink& link,
-                                          std::vector<OutMessage>& batch,
-                                          std::vector<bool>& acked) {
-  acked.assign(batch.size(), false);
-  const auto all_acked = [&] {
-    return std::all_of(acked.begin(), acked.end(), [](bool a) { return a; });
-  };
-  const bool parity = ships_parity(config_.policy);
-  std::size_t attempt = 0;
-  for (;;) {
-    // Stream every un-acked entry, oldest first, then collect replies.
-    // The replica applies in arrival order; parity deltas XOR-commute, so
-    // retransmission order cannot change the converged state.
-    std::size_t sent = 0;
-    Status result = Status::ok();
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-      if (acked[i]) continue;
-      result = send_entry_locked(link, batch[i]);
-      if (!result.is_ok()) break;
-      ++sent;
-    }
-    std::size_t newly_acked = 0;
-    const auto mark_acked = [&](std::size_t i) {
-      acked[i] = true;
-      ++newly_acked;
-      const std::uint64_t ts = batch[i].meta.timestamp_us;
-      if (ts > link.acked_timestamp.load(std::memory_order_relaxed)) {
-        link.acked_timestamp.store(ts, std::memory_order_relaxed);
-      }
-    };
-    // Each sent frame produces exactly one completion at the replica, but
-    // a kAckBatch folds many completions into one frame: count *covered*
-    // completions, not reply frames, to know when the round is answered.
-    std::size_t covered = 0;
-    while (result.is_ok() && covered < sent && !all_acked()) {
-      auto reply = recv_reply_locked(link);
-      if (!reply.is_ok()) {
-        result = reply.status();
-        break;
-      }
-      auto ack = ReplicationMessage::decode(*reply);
-      if (!ack.is_ok()) {
-        ++covered;
-        continue;  // torn reply; the retransmit covers it
-      }
-      if (ack->kind == MessageKind::kAckBatch) {
-        auto ranges = unpack_ack_ranges(ack->payload);
-        if (!ranges.is_ok()) {
-          ++covered;
-          continue;  // damaged in flight; retransmit re-acks via dedup
-        }
-        for (const AckRange& range : *ranges) {
-          covered += range.count;
-          for (std::size_t i = 0; i < batch.size(); ++i) {
-            if (!acked[i] && range.covers(batch[i].meta.sequence)) {
-              mark_acked(i);
-            }
-          }
-        }
-        continue;
-      }
-      ++covered;
-      if (ack->kind == MessageKind::kNak) {
-        // A kStaleEpoch NAK means a newer primary was promoted while this
-        // engine was partitioned: it is fenced.  Retrying or healing would
-        // splice a dead history into the cluster, so fail sticky.
-        if (!ack->payload.empty() &&
-            ack->payload[0] == static_cast<Byte>(NakReason::kStaleEpoch)) {
-          return fenced_by_replica(link, ack->cluster_epoch);
-        }
-        // A plain NAK asks for a resend (torn frame); a kNeedFullBlock NAK
-        // says the replica's stored block is damaged and a parity delta
-        // can *never* apply — swap the entry for a full-block repair.
-        if (!ack->payload.empty() &&
-            ack->payload[0] == static_cast<Byte>(NakReason::kNeedFullBlock)) {
-          for (std::size_t i = 0; i < batch.size(); ++i) {
-            if (!acked[i] && batch[i].meta.sequence == ack->sequence) {
-              convert_to_repair_locked(batch[i]);
-              break;
-            }
-          }
-        }
-        continue;
-      }
-      if (ack->kind != MessageKind::kAck) {
-        return failed_precondition("replica sent non-ACK reply");
-      }
-      // Exact-match marking: with loss in play, a cumulative reading of
-      // acks could bury an undelivered write under a later one.  (kAckBatch
-      // ranges enumerate every covered sequence, so they are exact too.)
-      for (std::size_t i = 0; i < batch.size(); ++i) {
-        if (!acked[i] && batch[i].meta.sequence == ack->sequence) {
-          mark_acked(i);
-          break;
-        }
-      }
-      // Unmatched sequences are stale acks from a duplicated delivery or
-      // an earlier timed-out round; ignore them.
-    }
-    if (all_acked()) return Status::ok();
-
-    // Classify what went wrong.
-    const ErrorCode code = result.code();
-    const bool connection_loss =
-        code == ErrorCode::kUnavailable || code == ErrorCode::kIoError;
-    if (result.is_ok()) {
-      // Every reply collected, entries still open: drops or NAKs upstream.
-      result = timeout_error("replica replies incomplete; retransmitting");
-    } else if (code == ErrorCode::kFailedPrecondition) {
-      return result;  // protocol breach: not retryable
-    } else if (connection_loss && config_.reconnect == nullptr) {
-      return result;  // the historical sticky-failure path
-    }
-    if (!parity) {
-      // Whole-block payloads only tolerate in-order redelivery (deltas
-      // commute, full blocks do not): an un-acked entry behind an acked
-      // *same-LBA* successor would reorder that block's writes when it is
-      // retransmitted.  Cross-LBA gaps are fine — the replica stripes its
-      // apply workers by LBA, so unrelated blocks ack out of order by
-      // design.
-      for (std::size_t i = 0; i < batch.size(); ++i) {
-        if (acked[i]) continue;
-        for (std::size_t j = i + 1; j < batch.size(); ++j) {
-          if (acked[j] && batch[j].meta.lba == batch[i].meta.lba) {
-            return failed_precondition(
-                "out-of-order ack under a full-block policy");
-          }
-        }
-      }
-    }
-
-    attempt = newly_acked > 0 ? 1 : attempt + 1;
-    if (attempt > config_.retry.max_attempts) return result;
-    {
-      std::lock_guard lock(mutex_);
-      if (stopping_) return result;
-      metrics_.retries += 1;
-    }
-    if (connection_loss) {
-      auto fresh = config_.reconnect(link.index);
-      if (fresh.is_ok()) {
-        link.transport->close();
-        link.transport = std::move(*fresh);
-        std::lock_guard lock(mutex_);
-        metrics_.reconnects += 1;
-      }
-      // Factory failure: back off and try the whole round again.
-    }
-    retry_backoff(link, attempt);
-  }
 }
 
 Status PrinsEngine::send_entry_locked(ReplicaLink& link, OutMessage& entry) {
@@ -1125,28 +779,14 @@ Status PrinsEngine::hello_locked(ReplicaLink& link,
   hello.kind = MessageKind::kHello;
   hello.cluster_epoch = config_.cluster_epoch;
   hello.sequence = next_sequence_.fetch_add(1, std::memory_order_relaxed);
-  const Bytes wire = hello.encode();
-  for (std::size_t attempt = 0; attempt <= config_.retry.max_attempts;
-       ++attempt) {
-    PRINS_RETURN_IF_ERROR(link.transport->send(wire));
-    auto reply = recv_reply_locked(link);
-    if (!reply.is_ok()) {
-      if (reply.status().code() == ErrorCode::kTimeout) continue;
-      return reply.status();
-    }
-    auto ack = ReplicationMessage::decode(*reply);
-    if (!ack.is_ok()) continue;  // torn; ask again
-    if (ack->kind == MessageKind::kAck && ack->sequence == hello.sequence) {
-      applied_ts = ack->timestamp_us;
-      return Status::ok();
-    }
-    if (ack->kind == MessageKind::kNak && !ack->payload.empty() &&
-        ack->payload[0] == static_cast<Byte>(NakReason::kStaleEpoch)) {
-      return fenced_by_replica(link, ack->cluster_epoch);
-    }
-    // NAK or a stale reply from before the outage: ask again.
+  PRINS_ASSIGN_OR_RETURN(
+      ReplicationMessage reply,
+      exchange_locked(link, hello.encode(), hello.sequence));
+  if (reply.kind != MessageKind::kAck) {
+    return failed_precondition("replica refused the hello");
   }
-  return timeout_error("replica hello got no usable reply");
+  applied_ts = reply.timestamp_us;
+  return Status::ok();
 }
 
 Status PrinsEngine::build_resync_locked(ReplicaLink& link,
@@ -1251,7 +891,8 @@ void PrinsEngine::attempt_heal(ReplicaLink* link) {
   auto fresh = config_.reconnect(link->index);
   if (!fresh.is_ok()) return heal_failed(link, fresh.status());
   link->transport->close();
-  link->transport = std::move(*fresh);
+  link->transport =
+      with_message_handlers(std::move(*fresh), config_.reactor);
   {
     std::lock_guard lock(mutex_);
     metrics_.reconnects += 1;
@@ -1264,9 +905,11 @@ void PrinsEngine::attempt_heal(ReplicaLink* link) {
     return heal_failed(link, s);
   }
 
-  // 3. Build the folded catch-up set — unless an interrupted heal left one
-  // to resume (resending the same sequences is safe: replica dedup).
-  if (link->resync_wire.empty()) {
+  // 3. Build the folded catch-up set — unless the link lost nothing (a
+  // connection loss keeps its open round, which the rejoin retransmits) or
+  // an interrupted heal left one to resume (resending the same sequences
+  // is safe: replica dedup).
+  if (link->round.empty() && link->resync_wire.empty()) {
     if (Status s = build_resync_locked(*link, replica_ts); !s.is_ok()) {
       return heal_failed(link, s);
     }
@@ -1279,36 +922,11 @@ void PrinsEngine::attempt_heal(ReplicaLink* link) {
       if (stopping_) return;
     }
     const ResyncFrame& frame = link->resync_wire.front();
-    Status shipped = Status::ok();
-    bool delivered = false;
-    for (std::size_t attempt = 0;
-         attempt <= config_.retry.max_attempts && !delivered; ++attempt) {
-      shipped = link->transport->send(frame.wire);
-      if (!shipped.is_ok()) break;
-      auto reply = recv_reply_locked(*link);
-      if (!reply.is_ok()) {
-        shipped = reply.status();
-        if (shipped.code() != ErrorCode::kTimeout) break;
-        continue;
-      }
-      auto ack = ReplicationMessage::decode(*reply);
-      if (!ack.is_ok()) continue;  // torn reply; resend
-      if (ack->kind == MessageKind::kAck && ack->sequence == frame.sequence) {
-        delivered = true;
-      }
-      if (ack->kind == MessageKind::kNak && !ack->payload.empty() &&
-          ack->payload[0] == static_cast<Byte>(NakReason::kStaleEpoch)) {
-        // A promoted successor owns these blocks now; abandon the heal.
-        return heal_failed(link,
-                           fenced_by_replica(*link, ack->cluster_epoch));
-      }
-      // NAK or stale ack: resend.
-    }
-    if (!delivered) {
-      return heal_failed(
-          link, shipped.is_ok()
-                    ? timeout_error("resync frame got no ack; will resume")
-                    : shipped);
+    // A kStaleEpoch NAK (a promoted successor owns these blocks now) has
+    // already fenced the engine; the failure abandons the heal.
+    if (Status s = send_and_ack_locked(*link, frame.wire, frame.sequence);
+        !s.is_ok()) {
+      return heal_failed(link, s);
     }
     link->resync_wire.pop_front();
   }
@@ -1345,24 +963,24 @@ void PrinsEngine::attempt_heal(ReplicaLink* link) {
                    << link->resync_upto << ")";
 }
 
-// ---- Reactor-driven sender path (config.reactor_senders) -------------------
+// ---- Event-driven sender ----------------------------------------------------
 //
-// The threaded sender_main/exchange_batch_locked pair becomes an event
-// machine: pump_link() (a posted closure) plays the pop-a-window half,
-// on_link_reply() (the transport's message handler) plays the
-// collect-replies half, and the wheel timer plays recv_for's op_timeout and
-// retry_backoff's sleep.  Lock order everywhere: sender guard, then link
-// mutex, then engine mutex_ — the same link-then-engine order the threaded
-// path uses, with the guard outermost so teardown can fence callbacks.
+// Each link is a state machine on the reactor: pump_link() (a posted
+// closure) pops a window and transmits it, on_link_reply() (the transport's
+// message handler) collects the replies, and the wheel timer plays the
+// per-round op_timeout and the retry backoff.  A ReactorTcpTransport runs
+// the handlers on its own loop; every other transport was wrapped in a
+// RecvPump whose reader hands replies to the engine's loop.  Lock order
+// everywhere: sender guard, then link mutex, then engine mutex_, with the
+// guard outermost so teardown can fence callbacks.
 
-bool PrinsEngine::install_reactor_link(ReplicaLink* link) {
+void PrinsEngine::install_link_handlers(ReplicaLink* link) {
   // underlying() sees through decorators (FaultyTransport et al.), so a
-  // fault-injected reactor link still runs handler-driven.
-  auto* rt =
-      dynamic_cast<ReactorTcpTransport*>(link->transport->underlying());
-  if (rt == nullptr) return false;
+  // fault-injected reactor link still runs on its own loop.
+  auto* events =
+      static_cast<HandlerTransport*>(link->transport->underlying());
   auto guard = sender_guard_;
-  rt->set_close_handler([guard, link](const Status& why) {
+  events->set_close_handler([guard, link](const Status& why) {
     std::lock_guard g(guard->m);
     if (guard->engine == nullptr) return;
     // Lock-free pre-check: never block a loop thread on the link mutex
@@ -1370,21 +988,18 @@ bool PrinsEngine::install_reactor_link(ReplicaLink* link) {
     if (link->healing.load(std::memory_order_relaxed)) return;
     guard->engine->on_link_closed(link, why);
   });
-  rt->set_message_handler([guard, link](Bytes&& reply) {
+  events->set_message_handler([guard, link](Bytes&& reply) {
     std::lock_guard g(guard->m);
     if (guard->engine == nullptr) return;
     if (link->healing.load(std::memory_order_relaxed)) return;
     guard->engine->on_link_reply(link, std::move(reply));
   });
-  return true;
 }
 
 void PrinsEngine::clear_link_handlers(ReplicaLink& link) {
-  if (auto* rt = dynamic_cast<ReactorTcpTransport*>(
-          link.transport->underlying())) {
-    rt->set_close_handler(nullptr);
-    rt->set_message_handler(nullptr);
-  }
+  auto* events = static_cast<HandlerTransport*>(link.transport->underlying());
+  events->set_close_handler(nullptr);
+  events->set_message_handler(nullptr);
 }
 
 void PrinsEngine::arm_link_timer_locked(
@@ -1414,14 +1029,13 @@ void PrinsEngine::cancel_link_timer_locked(ReplicaLink* link) {
 }
 
 void PrinsEngine::schedule_pump_locked(ReplicaLink* link) {
-  if (!link->reactor_driven || link->pump_scheduled ||
-      stopping_.load(std::memory_order_relaxed)) {
+  if (link->pump_scheduled || stopping_.load(std::memory_order_relaxed)) {
     return;
   }
   if (link->phase != ReplicaLink::Phase::kIdle) return;
   if (link->outbox.empty()) return;
-  // A degraded link holds its traffic for the heal's fold; only a
-  // sticky-dead link's pump runs (to drop the queue, below).
+  // A degraded link holds its traffic for the heal; only a sticky-dead
+  // link's pump runs (to drop the queue, below).
   if (link->failed && healable_locked(*link)) return;
   link->pump_scheduled = true;
   auto guard = sender_guard_;
@@ -1439,10 +1053,9 @@ void PrinsEngine::pump_link(ReplicaLink* link) {
   link->pump_scheduled = false;
   if (stopping_.load(std::memory_order_relaxed)) return;
   if (link->failed) {
-    if (healable_locked(*link)) return;  // the heal's fold carries the queue
+    if (healable_locked(*link)) return;  // the heal delivers the queue
     // Sticky, non-healable failure: drop queued traffic so producers and
-    // drain() never block behind a dead link (sender_main's
-    // already_failed path).
+    // drain() never block behind a dead link.
     if (link->outbox.empty()) return;
     while (!link->outbox.empty()) {
       const auto it = link->fold_slots.find(link->outbox.front().meta.lba);
@@ -1485,23 +1098,25 @@ void PrinsEngine::pump_link(ReplicaLink* link) {
   link->phase = ReplicaLink::Phase::kAwaitingAcks;
   queue_cv_.notify_all();  // wake producers blocked on outbox capacity
   lock.unlock();
+  transmit_round(link);
+}
 
-  // Transmit.  On a loop thread the transport's enqueue never blocks on
-  // flow control, so a stuck replica cannot stall the reactor here.
+void PrinsEngine::transmit_round(ReplicaLink* link) {
+  // Neither kind of link blocks the loop here: a ReactorTcpTransport
+  // enqueues into its outbox, and a RecvPump into the queue its writer
+  // thread sends from.
   std::size_t sent = 0;
-  Status result = Status::ok();
-  for (OutMessage& entry : link->round) {
-    result = send_entry_locked(*link, entry);
-    if (!result.is_ok()) break;
+  for (std::size_t i = 0; i < link->round.size(); ++i) {
+    if (link->round_acked[i]) continue;
+    if (Status s = send_entry_locked(*link, link->round[i]); !s.is_ok()) {
+      // A send only fails once the connection is dead; classification
+      // (degraded heal vs. sticky) happens in fail_round.
+      fail_round(link, s);
+      return;
+    }
     ++sent;
   }
-  if (!result.is_ok()) {
-    // Sends on a reactor transport only fail once the connection is dead;
-    // classification (degraded heal vs. sticky) happens in fail_round.
-    fail_round(link, result);
-    return;
-  }
-  lock.lock();
+  std::lock_guard lock(mutex_);
   if (link->phase != ReplicaLink::Phase::kAwaitingAcks) return;
   link->round_sent = sent;
   if (config_.retry.op_timeout.count() > 0) {
@@ -1579,7 +1194,7 @@ void PrinsEngine::on_link_reply(ReplicaLink* link, Bytes reply) {
       }
     }
     // A plain NAK (torn frame at the replica) is covered by the attempt's
-    // retransmit, exactly like the threaded path.
+    // retransmit.
   } else if (ack->kind == MessageKind::kAck) {
     if (counting) ++link->round_covered;
     for (std::size_t i = 0; i < link->round.size(); ++i) {
@@ -1599,8 +1214,7 @@ void PrinsEngine::on_link_reply(ReplicaLink* link, Bytes reply) {
 
   if (convert_index != kNoConvert) {
     // convert_to_repair_locked takes mutex_ (metrics) and a stripe lock
-    // itself; call it with only the link mutex held, like the threaded
-    // path does.
+    // itself; call it with only the link mutex held.
     lock.unlock();
     convert_to_repair_locked(link->round[convert_index]);
     lock.lock();
@@ -1628,7 +1242,10 @@ void PrinsEngine::on_link_closed(ReplicaLink* link, const Status& why) {
   {
     std::lock_guard lock(mutex_);
     if (stopping_.load(std::memory_order_relaxed) || link->failed) return;
-    if (link->phase == ReplicaLink::Phase::kExclusive) return;
+    // Nothing in flight (idle, or an operator exchange owns the link): the
+    // next send fails on the dead connection (both ReactorTcpTransport and
+    // RecvPump refuse sends once closed) and fails the round it opens.
+    if (link->round.empty()) return;
   }
   fail_round(link,
              why.is_ok() ? unavailable("replica connection closed") : why);
@@ -1655,25 +1272,31 @@ void PrinsEngine::on_link_timer(ReplicaLink* link) {
   }
 }
 
+bool PrinsEngine::reorders_full_block_locked(const ReplicaLink& link) const {
+  // Whole-block payloads only tolerate in-order redelivery (deltas
+  // commute, full blocks do not).  Cross-LBA gaps are fine — the replica
+  // stripes its apply workers by LBA, so unrelated blocks ack out of order
+  // by design.
+  if (ships_parity(config_.policy)) return false;
+  for (std::size_t i = 0; i < link.round.size(); ++i) {
+    if (link.round_acked[i]) continue;
+    for (std::size_t j = i + 1; j < link.round.size(); ++j) {
+      if (link.round_acked[j] &&
+          link.round[j].meta.lba == link.round[i].meta.lba) {
+        return true;
+      }
+    }
+  }
+  return false;
+}
+
 void PrinsEngine::round_retry_or_fail(ReplicaLink* link,
                                       std::unique_lock<std::mutex>& lock,
                                       const Status& why) {
-  // exchange_batch_locked's full-block ordering check: an un-acked entry
-  // behind an acked same-LBA successor cannot be retransmitted (full
-  // blocks do not commute).
-  if (!ships_parity(config_.policy)) {
-    for (std::size_t i = 0; i < link->round.size(); ++i) {
-      if (link->round_acked[i]) continue;
-      for (std::size_t j = i + 1; j < link->round.size(); ++j) {
-        if (link->round_acked[j] &&
-            link->round[j].meta.lba == link->round[i].meta.lba) {
-          lock.unlock();
-          fail_round(link, failed_precondition(
-                               "out-of-order ack under a full-block policy"));
-          return;
-        }
-      }
-    }
+  if (reorders_full_block_locked(*link)) {
+    lock.unlock();
+    fail_round(link, full_block_reorder());
+    return;
   }
   link->round_attempt =
       link->round_progress ? 1 : link->round_attempt + 1;
@@ -1694,9 +1317,16 @@ void PrinsEngine::round_retry_or_fail(ReplicaLink* link,
 
 void PrinsEngine::resend_round(ReplicaLink* link) {
   {
-    std::lock_guard lock(mutex_);
+    std::unique_lock lock(mutex_);
     if (stopping_.load(std::memory_order_relaxed) || link->failed ||
         link->round.empty()) {
+      return;
+    }
+    // Acks keep settling entries during the backoff, after
+    // round_retry_or_fail looked.
+    if (reorders_full_block_locked(*link)) {
+      lock.unlock();
+      fail_round(link, full_block_reorder());
       return;
     }
     link->phase = ReplicaLink::Phase::kAwaitingAcks;
@@ -1704,36 +1334,26 @@ void PrinsEngine::resend_round(ReplicaLink* link) {
     link->round_covered = 0;
     link->round_progress = false;
   }
-  std::size_t sent = 0;
-  Status result = Status::ok();
-  for (std::size_t i = 0; i < link->round.size(); ++i) {
-    if (link->round_acked[i]) continue;
-    result = send_entry_locked(*link, link->round[i]);
-    if (!result.is_ok()) break;
-    ++sent;
+  transmit_round(link);
+}
+
+void PrinsEngine::close_round_locked(ReplicaLink& link) {
+  link.in_flight -= link.round.size();
+  for (std::size_t i = 0; i < link.round.size(); ++i) {
+    // Entries acked before the round closed were settled at ack time.
+    if (!link.round_acked[i]) complete_locked(link.round[i], /*acked=*/false);
   }
-  if (!result.is_ok()) {
-    fail_round(link, result);
-    return;
-  }
-  std::lock_guard lock(mutex_);
-  if (link->phase != ReplicaLink::Phase::kAwaitingAcks) return;
-  link->round_sent = sent;
-  if (config_.retry.op_timeout.count() > 0) {
-    arm_link_timer_locked(
-        link, std::chrono::steady_clock::now() + config_.retry.op_timeout);
-  }
+  link.round.clear();
+  link.round_acked.clear();
+  link.round_attempt = 0;
+  link.round_sent = 0;
+  link.round_covered = 0;
+  link.round_progress = false;
 }
 
 void PrinsEngine::finish_round(ReplicaLink* link,
                                std::unique_lock<std::mutex>& lock) {
-  link->in_flight -= link->round.size();
-  link->round.clear();
-  link->round_acked.clear();
-  link->round_attempt = 0;
-  link->round_sent = 0;
-  link->round_covered = 0;
-  link->round_progress = false;
+  close_round_locked(*link);
   cancel_link_timer_locked(link);
   link->phase = ReplicaLink::Phase::kIdle;
   const std::uint64_t watermark = ack_watermark_locked();
@@ -1751,28 +1371,27 @@ void PrinsEngine::fail_round(ReplicaLink* link, const Status& why) {
     std::lock_guard lock(mutex_);
     if (link->failed) return;  // a close and a timeout can race; first wins
     cancel_link_timer_locked(link);
-    link->in_flight -= link->round.size();
-    // sender_main's failure classification: a heal's fold can re-deliver
-    // kWrite traffic, so an all-write round failing on a healable link is
-    // *degraded*; any other kind has no second delivery path.
-    bool fold_covers_round = true;
-    for (std::size_t i = 0; i < link->round.size(); ++i) {
-      fold_covers_round &=
-          link->round[i].meta.kind == MessageKind::kWrite;
-      // Entries acked before the failure were settled at ack time.
-      if (!link->round_acked[i]) {
-        complete_locked(link->round[i], /*acked=*/false);
-      }
-    }
-    link->round.clear();
-    link->round_acked.clear();
-    link->round_attempt = 0;
-    link->round_sent = 0;
-    link->round_covered = 0;
-    link->round_progress = false;
     link->failed = true;
     link->next_heal = std::chrono::steady_clock::now();
-    if (fold_covers_round && healable_locked(*link)) {
+    // A lost connection loses no traffic: the heal reconnects and
+    // retransmits the open round (replica dedup absorbs what already
+    // landed), so the round stays open.  Otherwise the round is settled
+    // here.  A heal's fold can re-deliver kWrite traffic, so an all-write
+    // round failing on a healable link is *degraded*, not broken: keep
+    // accepting writes and let the heal catch up.  Any other kind has no
+    // second delivery path, and a round that reorders a full block can be
+    // neither replayed nor folded: both fail sticky.
+    const bool connection_loss = why.code() == ErrorCode::kUnavailable ||
+                                 why.code() == ErrorCode::kIoError;
+    bool degraded =
+        healable_locked(*link) && !reorders_full_block_locked(*link);
+    if (!connection_loss || !degraded) {
+      for (const OutMessage& entry : link->round) {
+        degraded &= entry.meta.kind == MessageKind::kWrite;
+      }
+      close_round_locked(*link);
+    }
+    if (degraded) {
       PRINS_LOG(kWarn) << "replica " << link->index
                        << " degraded; self-heal scheduled: "
                        << why.to_string();
@@ -1781,6 +1400,10 @@ void PrinsEngine::fail_round(ReplicaLink* link, const Status& why) {
       spawn_heal = true;
     } else {
       link->phase = ReplicaLink::Phase::kIdle;
+      // No heal runs for this failure, so the link must not look healable
+      // either: drain() would wait for the heal, and the pump would hold
+      // the queue for it.  reattach_replica clears this.
+      link->unhealable = true;
       if (worker_error_.is_ok()) {
         worker_error_ = why;
         PRINS_LOG(kError) << "replication failed: " << why.to_string();
@@ -1799,8 +1422,8 @@ void PrinsEngine::fail_round(ReplicaLink* link, const Status& why) {
   if (spawn_heal) {
     // The previous heal episode's thread (if any) exited before this
     // link could fail again, so the join is immediate.
-    if (link->sender.joinable()) link->sender.join();
-    link->sender = std::thread([this, link] { heal_main(link); });
+    if (link->healer.joinable()) link->healer.join();
+    link->healer = std::thread([this, link] { heal_main(link); });
   }
 }
 
@@ -1808,67 +1431,68 @@ void PrinsEngine::heal_main(ReplicaLink* link) {
   for (;;) {
     {
       std::unique_lock lock(mutex_);
+      // Sleep out the heal backoff.  Teardown and reattach_replica notify
+      // queue_cv_, so neither waits for the deadline.
+      queue_cv_.wait_until(lock, link->next_heal, [&] {
+        return stopping_.load(std::memory_order_relaxed) ||
+               !healable_locked(*link);
+      });
       if (stopping_.load(std::memory_order_relaxed)) {
         link->healing.store(false, std::memory_order_relaxed);
         return;
       }
       if (!healable_locked(*link)) break;  // healed, reattached, unhealable
-      const auto next_heal = link->next_heal;
-      lock.unlock();
-      if (std::chrono::steady_clock::now() < next_heal) {
-        reactor_wait_until(next_heal);
-        continue;  // re-check state after the wait
-      }
     }
     // attempt_heal's hello/resync exchanges use blocking recv() on the
     // fresh transport — valid here because no message handler is
     // installed on it yet.
     attempt_heal(link);
-    {
-      std::lock_guard lock(mutex_);
-      if (stopping_.load(std::memory_order_relaxed)) {
-        link->healing.store(false, std::memory_order_relaxed);
-        return;
-      }
-      if (!link->failed) break;
-    }
   }
-  if (!rejoin_reactor_link(link)) {
-    // The reconnect factory produced a non-reactor transport: this thread
-    // simply becomes the link's sender.
-    sender_main(link);
-  }
+  rejoin_link(link);
 }
 
-bool PrinsEngine::rejoin_reactor_link(ReplicaLink* link) {
+void PrinsEngine::rejoin_link(ReplicaLink* link) {
   std::lock_guard link_lock(link->mutex);
   std::unique_lock lock(mutex_);
   link->healing.store(false, std::memory_order_relaxed);
   link->phase = ReplicaLink::Phase::kIdle;
   queue_cv_.notify_all();  // begin_link_exclusive may be parked on the phase
-  if (stopping_.load(std::memory_order_relaxed)) return true;
+  if (stopping_.load(std::memory_order_relaxed)) return;
   if (link->failed) {
-    // Unhealable: drop queued traffic so producers and drain() move on;
-    // reattach_replica re-arms the handlers when the operator intervenes.
+    // Unhealable: drop the open round and queued traffic so producers and
+    // drain() move on; reattach_replica re-arms the handlers when the
+    // operator intervenes.
+    close_round_locked(*link);
     schedule_pump_locked(link);
-    return true;
+    const std::uint64_t watermark = ack_watermark_locked();
+    if (idle_locked()) drain_cv_.notify_all();
+    lock.unlock();
+    advance_journal_watermark(watermark);
+    return;
   }
   lock.unlock();
-  if (!install_reactor_link(link)) {
-    lock.lock();
-    link->reactor_driven = false;
-    return false;
+  resume_link(link);
+}
+
+void PrinsEngine::resume_link(ReplicaLink* link) {
+  install_link_handlers(link);
+  std::lock_guard lock(mutex_);
+  if (!link->round.empty()) {
+    // A round was open when the old transport died: retransmit its
+    // un-acked entries on the fresh one (replica dedup absorbs overlap).
+    // An immediate wheel timer reuses the kBackoff resend path.
+    link->phase = ReplicaLink::Phase::kBackoff;
+    arm_link_timer_locked(link, std::chrono::steady_clock::now());
+  } else {
+    link->phase = ReplicaLink::Phase::kIdle;
+    schedule_pump_locked(link);
   }
-  lock.lock();
-  schedule_pump_locked(link);
-  return true;
 }
 
 void PrinsEngine::begin_link_exclusive(ReplicaLink* link) {
   bool uninstall = false;
   {
     std::unique_lock lock(mutex_);
-    if (!link->reactor_driven) return;
     queue_cv_.wait(lock, [&] {
       return stopping_.load(std::memory_order_relaxed) || link->failed ||
              link->phase == ReplicaLink::Phase::kIdle;
@@ -1888,20 +1512,16 @@ void PrinsEngine::begin_link_exclusive(ReplicaLink* link) {
 void PrinsEngine::end_link_exclusive(ReplicaLink* link) {
   {
     std::lock_guard lock(mutex_);
-    if (!link->reactor_driven ||
-        link->phase != ReplicaLink::Phase::kExclusive) {
-      return;
-    }
+    if (link->phase != ReplicaLink::Phase::kExclusive) return;
     link->phase = ReplicaLink::Phase::kIdle;
     queue_cv_.notify_all();  // another exclusive waiter may be parked
   }
   std::lock_guard link_lock(link->mutex);
-  // Reinstalling on a transport the exchange killed is fine: the close
-  // handler fires immediately and routes into fail_round.
-  if (install_reactor_link(link)) {
-    std::lock_guard lock(mutex_);
-    schedule_pump_locked(link);
-  }
+  // Reinstalling on a transport the exchange killed is fine: the next
+  // round's send finds it dead and fails the round.
+  install_link_handlers(link);
+  std::lock_guard lock(mutex_);
+  schedule_pump_locked(link);
 }
 
 class PrinsEngine::LinkExclusive {
@@ -1919,18 +1539,67 @@ class PrinsEngine::LinkExclusive {
   ReplicaLink* link_;
 };
 
-Status PrinsEngine::send_and_ack_locked(ReplicaLink& link, ByteSpan wire,
-                                        MessageKind /*expect_ack_of*/) {
-  PRINS_RETURN_IF_ERROR(link.transport->send(wire));
-  PRINS_ASSIGN_OR_RETURN(Bytes reply, link.transport->recv());
-  PRINS_ASSIGN_OR_RETURN(ReplicationMessage ack,
-                         ReplicationMessage::decode(reply));
-  if (ack.kind == MessageKind::kNak && !ack.payload.empty() &&
-      ack.payload[0] == static_cast<Byte>(NakReason::kStaleEpoch)) {
-    return fenced_by_replica(link, ack.cluster_epoch);
+Result<ReplicationMessage> PrinsEngine::exchange_locked(
+    ReplicaLink& link, ByteSpan wire, std::uint64_t sequence) {
+  using Clock = std::chrono::steady_clock;
+  const RetryPolicy& r = config_.retry;
+  for (std::size_t attempt = 0; attempt <= r.max_attempts; ++attempt) {
+    PRINS_RETURN_IF_ERROR(link.transport->send(wire));
+    const Clock::time_point deadline = Clock::now() + r.op_timeout;
+    const auto receive = [&]() -> Result<Bytes> {
+      if (r.op_timeout.count() == 0) return link.transport->recv();
+      const auto left = std::chrono::ceil<std::chrono::milliseconds>(
+          deadline - Clock::now());
+      if (left.count() <= 0) return timeout_error("reply timed out");
+      return link.transport->recv_for(left);
+    };
+    for (;;) {
+      Result<Bytes> wire_reply = receive();
+      if (!wire_reply.is_ok()) {
+        if (wire_reply.status().code() != ErrorCode::kTimeout) {
+          return wire_reply.status();
+        }
+        break;  // resend
+      }
+      auto reply = ReplicationMessage::decode(*wire_reply);
+      if (!reply.is_ok()) break;  // torn, perhaps our answer: resend
+      if (reply->kind == MessageKind::kNak && !reply->payload.empty() &&
+          reply->payload[0] == static_cast<Byte>(NakReason::kStaleEpoch)) {
+        return fenced_by_replica(link, reply->cluster_epoch);
+      }
+      if (reply->kind == MessageKind::kNak && reply->sequence == 0) {
+        break;  // the replica could not read our request's header: resend
+      }
+      if (reply->kind == MessageKind::kAckBatch) {
+        auto ranges = unpack_ack_ranges(reply->payload);
+        if (!ranges.is_ok()) continue;
+        for (const AckRange& range : *ranges) {
+          if (!range.covers(sequence)) continue;
+          ReplicationMessage ack;
+          ack.kind = MessageKind::kAck;
+          ack.sequence = sequence;
+          ack.cluster_epoch = reply->cluster_epoch;
+          return ack;
+        }
+        continue;
+      }
+      // Anything else answering another sequence is a stale reply from an
+      // earlier exchange (a duplicate ack, a resend's second answer).
+      if (reply->sequence == sequence) return std::move(*reply);
+    }
   }
-  if (ack.kind != MessageKind::kAck) {
-    return failed_precondition("replica sent non-ACK reply");
+  return timeout_error("replica gave no answer to sequence " +
+                       std::to_string(sequence) + " after " +
+                       std::to_string(r.max_attempts + 1) + " sends");
+}
+
+Status PrinsEngine::send_and_ack_locked(ReplicaLink& link, ByteSpan wire,
+                                        std::uint64_t sequence) {
+  PRINS_ASSIGN_OR_RETURN(ReplicationMessage reply,
+                         exchange_locked(link, wire, sequence));
+  if (reply.kind != MessageKind::kAck) {
+    return failed_precondition("replica refused sequence " +
+                               std::to_string(sequence));
   }
   return Status::ok();
 }
@@ -2018,12 +1687,10 @@ Status PrinsEngine::flat_verify_locked(ReplicaLink& link, Lba start,
     req.kind = MessageKind::kVerifyRequest;
     req.cluster_epoch = config_.cluster_epoch;
     req.block_size = bs;
+    req.sequence = next_sequence_.fetch_add(1, std::memory_order_relaxed);
     req.payload = pack_checksums(sums);
-    PRINS_RETURN_IF_ERROR(link.transport->send(req.encode()));
-
-    PRINS_ASSIGN_OR_RETURN(Bytes reply_wire, link.transport->recv());
     PRINS_ASSIGN_OR_RETURN(ReplicationMessage reply,
-                           ReplicationMessage::decode(reply_wire));
+                           exchange_locked(link, req.encode(), req.sequence));
     if (reply.kind != MessageKind::kVerifyReply) {
       return failed_precondition("replica sent non-verify reply");
     }
@@ -2036,9 +1703,10 @@ Status PrinsEngine::flat_verify_locked(ReplicaLink& link, Lba start,
       repair.cluster_epoch = config_.cluster_epoch;
       repair.block_size = bs;
       repair.lba = lba;
+      repair.sequence = next_sequence_.fetch_add(1, std::memory_order_relaxed);
       repair.payload = encode_frame(codec_for(CodecId::kLz), block);
-      PRINS_RETURN_IF_ERROR(send_and_ack_locked(link, repair.encode(),
-                                                MessageKind::kRepairBlock));
+      PRINS_RETURN_IF_ERROR(
+          send_and_ack_locked(link, repair.encode(), repair.sequence));
       ++repaired;
     }
   }
@@ -2054,8 +1722,7 @@ Result<std::uint64_t> PrinsEngine::verify_and_repair(Lba start,
 
   std::uint64_t repaired = 0;
   for (auto& link : replicas_) {
-    // Park a reactor-driven sender so this blocking exchange owns the
-    // transport (no-op for threaded links).
+    // Park the link's sender so this blocking exchange owns the transport.
     LinkExclusive exclusive(*this, link.get());
     std::lock_guard link_lock(link->mutex);
     PRINS_RETURN_IF_ERROR(flat_verify_locked(*link, start, count, repaired));
@@ -2086,11 +1753,11 @@ Result<std::uint64_t> PrinsEngine::verify_and_repair_hierarchical(
       req.kind = MessageKind::kHashRequest;
       req.cluster_epoch = config_.cluster_epoch;
       req.block_size = block_size();
+      req.sequence = next_sequence_.fetch_add(1, std::memory_order_relaxed);
       req.payload = pack_ranges(frontier);
-      PRINS_RETURN_IF_ERROR(link->transport->send(req.encode()));
-      PRINS_ASSIGN_OR_RETURN(Bytes reply_wire, link->transport->recv());
-      PRINS_ASSIGN_OR_RETURN(ReplicationMessage reply,
-                             ReplicationMessage::decode(reply_wire));
+      PRINS_ASSIGN_OR_RETURN(
+          ReplicationMessage reply,
+          exchange_locked(*link, req.encode(), req.sequence));
       if (reply.kind != MessageKind::kHashReply) {
         return failed_precondition("replica sent non-hash reply");
       }
@@ -2161,50 +1828,32 @@ Status PrinsEngine::fetch_block_from_replica(Lba lba, MutByteSpan out) {
     req.sequence = next_sequence_.fetch_add(1, std::memory_order_relaxed);
     LinkExclusive exclusive(*this, link);
     std::lock_guard link_lock(link->mutex);
-    if (Status sent = link->transport->send(req.encode()); !sent.is_ok()) {
-      last = sent;
+    auto reply = exchange_locked(*link, req.encode(), req.sequence);
+    if (!reply.is_ok()) {
+      last = reply.status();  // fenced, dead, or silent: try the next one
       continue;
     }
-    // A previous exchange that finished early can leave duplicate acks
-    // buffered on the transport; skim past anything that is not our reply.
-    bool answered = false;
-    for (int tries = 0; tries < 16 && !answered; ++tries) {
-      auto reply_wire = recv_reply_locked(*link);
-      if (!reply_wire.is_ok()) {
-        last = reply_wire.status();
-        break;
-      }
-      auto reply = ReplicationMessage::decode(*reply_wire);
-      if (!reply.is_ok()) continue;  // torn frame; keep listening
-      if (reply->sequence != req.sequence) continue;  // stale ack
-      answered = true;
-      if (reply->kind == MessageKind::kNak) {
-        if (!reply->payload.empty() &&
-            reply->payload[0] == static_cast<Byte>(NakReason::kStaleEpoch)) {
-          last = fenced_by_replica(*link, reply->cluster_epoch);
-          break;
-        }
-        any_nak = true;
-        last = corruption_error("replica " + std::to_string(i) +
-                                " cannot serve block " + std::to_string(lba));
-        break;
-      }
-      if (reply->kind != MessageKind::kReadBlockReply || reply->lba != lba) {
-        last = failed_precondition("unexpected reply to read-block request");
-        break;
-      }
-      auto block = decode_frame(reply->payload);
-      if (!block.is_ok()) {
-        last = block.status();
-        break;
-      }
-      if (block->size() != out.size()) {
-        last = corruption("read-block reply has the wrong block size");
-        break;
-      }
-      std::copy(block->begin(), block->end(), out.begin());
-      return Status::ok();
+    if (reply->kind == MessageKind::kNak) {
+      any_nak = true;
+      last = corruption_error("replica " + std::to_string(i) +
+                              " cannot serve block " + std::to_string(lba));
+      continue;
     }
+    if (reply->kind != MessageKind::kReadBlockReply || reply->lba != lba) {
+      last = failed_precondition("unexpected reply to read-block request");
+      continue;
+    }
+    auto block = decode_frame(reply->payload);
+    if (!block.is_ok()) {
+      last = block.status();
+      continue;
+    }
+    if (block->size() != out.size()) {
+      last = corruption("read-block reply has the wrong block size");
+      continue;
+    }
+    std::copy(block->begin(), block->end(), out.begin());
+    return Status::ok();
   }
   // If at least one replica answered "my copy is damaged too", surface that
   // over a transport error: the caller's next escalation differs.
@@ -2373,7 +2022,7 @@ Result<std::uint64_t> PrinsEngine::resync_replica(std::size_t index) {
         clock_state_.load(std::memory_order_seq_cst) & kClockMask;
     newest = msg.timestamp_us;
     PRINS_RETURN_IF_ERROR(
-        send_and_ack_locked(*link, msg.encode(), msg.kind));
+        send_and_ack_locked(*link, msg.encode(), msg.sequence));
     ++resynced;
   }
   link->acked_timestamp.store(newest, std::memory_order_relaxed);

@@ -8,13 +8,16 @@
 //      (computed by the fused SIMD kernel, which also yields the dirty-byte
 //      count for free), for traditional policies the new block itself —
 //      encoded by the policy's codec,
-//   3. fanned out to a per-replica outbox, each drained by its own sender
-//      thread, so a slow or high-latency replica never serializes the
-//      others.  Each sender streams up to `pipeline_depth` messages per
-//      link round-trip before collecting ACKs.  With
-//      `EngineConfig::reactor_senders` the sender threads disappear: each
-//      link becomes a reactor-hosted state machine (pumped by post(),
-//      acked by message-handler callbacks, timed by the wheel).
+//   3. fanned out to a per-replica outbox, each drained by its own
+//      event-driven sender: a reactor-hosted state machine per link,
+//      pumped by post(), acked by message-handler callbacks, and timed by
+//      the reactor's timer wheel, so a slow or high-latency replica never
+//      holds up the others' acks.  Each round streams up to
+//      `pipeline_depth` messages before collecting ACKs.  A
+//      ReactorTcpTransport link delivers its replies on its own loop; any
+//      other transport is wrapped in a RecvPump (net/recv_pump.h): a
+//      reader thread hands replies to the same callbacks and a writer
+//      thread takes the sends, so no send blocks the shared loop.
 //
 // Optionally (`coalesce_writes`) back-to-back deltas to the same LBA that
 // are still waiting in an outbox are XOR-folded into a single message: the
@@ -68,9 +71,12 @@ using TransportFactory =
 
 /// How a sender reacts to link trouble.  Transient errors (reply timeout,
 /// torn reply, replica NAK) retransmit the un-acked window with exponential
-/// backoff + jitter; connection losses additionally reconnect through the
-/// engine's TransportFactory (when one is configured).  Sequence dedup at
-/// the replica makes every retransmission safe.
+/// backoff + jitter.  A lost connection keeps the round open for the
+/// self-heal (see EngineConfig::reconnect), which retransmits it on a fresh
+/// connection, or else is a sticky failure.  Sequence dedup at the replica
+/// makes every retransmission safe.  Blocking operator exchanges (verify, resync,
+/// fetch, the heal's hello) bound each reply wait by op_timeout too and
+/// resend up to max_attempts times.
 struct RetryPolicy {
   /// Consecutive no-progress attempts before the link is declared failed.
   std::size_t max_attempts = 5;
@@ -94,9 +100,10 @@ struct EngineConfig {
   /// Messages a sender streams to its replica before waiting for ACKs.
   /// 1 is stop-and-wait (the paper's conservative closed-network
   /// assumption); larger windows amortize the link round-trip over WAN
-  /// latencies.  Replicas apply in order either way.  The transport must
-  /// buffer at least this many messages per direction (TCP and the
-  /// default inproc pair do), else send/ack can deadlock.
+  /// latencies.  Replicas apply in order either way.  Any window works on
+  /// any transport: sends never block the loop, and replies are read off
+  /// the link while a round is still being sent (by the reactor loop, or a
+  /// RecvPump's reader thread).
   std::size_t pipeline_depth = 1;
   /// XOR-fold queued same-LBA deltas in each replica outbox into one
   /// message (lossless; see header comment).  Off by default: folding
@@ -116,40 +123,25 @@ struct EngineConfig {
   /// Link error recovery (see RetryPolicy).  The defaults retry transient
   /// errors a few times and otherwise behave like the pre-retry engine.
   RetryPolicy retry;
-  /// Reconnect callback.  Null (default): losing a connection is a sticky
-  /// failure resolved by the operator (reattach_replica + resync_replica).
-  /// Non-null: senders transparently reconnect and replay un-acked traffic;
-  /// combined with keep_trap_log, a link that exhausts its retries becomes
-  /// a *degraded* state the engine exits on its own — it periodically
-  /// reconnects, folds the parity log over the outage window, resyncs the
-  /// replica, and unfreezes the journal watermark.
+  /// Reconnect callback for the self-heal.  With keep_trap_log, a link
+  /// whose connection dies or whose retries run out on write traffic
+  /// becomes *degraded*, a state the engine exits on its own: a transient
+  /// heal thread reconnects through this factory and asks the replica
+  /// where it is (kHello).  After a lost connection it then retransmits
+  /// the open round; after exhausted retries it folds the parity log over
+  /// the outage window, resyncs the replica, and unfreezes the journal
+  /// watermark.  Null (default), or without keep_trap_log: a link failure
+  /// is sticky, resolved by the operator (reattach_replica +
+  /// resync_replica).
   TransportFactory reconnect;
-  /// Deadline substrate for retry backoff and heal scheduling.  Null
-  /// (default): a sender waiting out a backoff parks in a per-thread timed
-  /// condition wait, exactly the historical behavior.  Non-null: the delay
-  /// becomes an entry on this reactor's timer wheel and the sender parks
-  /// in an *untimed* wait on a gate the wheel fires — one shared wheel
-  /// tracks every link's deadline, and stop/reattach cancel the gates so
-  /// waiters re-check state immediately instead of sleeping out the rest
-  /// of their backoff.  (A threaded sender's per-reply op_timeout on a
-  /// ReactorTcpTransport link needs no wheel entry: the blocked receiver
-  /// reads the socket itself, with the deadline as its poll() timeout.)
+  /// The loop that runs every link's sender: pumps are post()ed onto it,
+  /// replies arrive as message-handler callbacks, and op_timeout and retry
+  /// backoff are entries on its timer wheel.  Null
+  /// (default): the engine creates a private one.  Share one across
+  /// engines and ReactorTcpTransport links to run the node on a fixed
+  /// handful of threads.
   std::shared_ptr<Reactor> reactor;
-  /// Thread-free primary: drive each replica link as a reactor-hosted
-  /// outbox state machine instead of a dedicated sender thread.  Requires
-  /// `reactor`; links whose transports are not ReactorTcpTransports (at
-  /// add_replica(), after reattach_replica(), or produced by `reconnect`)
-  /// transparently fall back to a threaded sender.  The steady state
-  /// spends zero engine threads: distribute() posts a pump onto the
-  /// reactor, replica ACKs/NAKs arrive as message-handler callbacks on
-  /// the transport's loop, and the RetryPolicy's op_timeout and retry
-  /// backoff ride the timer wheel.  Semantics differ from the threaded
-  /// path in one place: a lost connection is never reconnected in-round —
-  /// it degrades the link and the self-heal path (keep_trap_log +
-  /// reconnect) reconnects and folds the outage; with either of those
-  /// unset, connection loss is a sticky failure exactly as if `reconnect`
-  /// were null.  A transient thread exists only while a degraded link
-  /// heals.
+  /// No effect; every link is event-driven.
   bool reactor_senders = false;
   /// LBA-striped submit locks: writers to blocks in different shards
   /// (shard = lba mod write_shards) proceed concurrently; same-block writes
@@ -237,9 +229,11 @@ class PrinsEngine final : public BlockDevice {
   PrinsEngine(const PrinsEngine&) = delete;
   PrinsEngine& operator=(const PrinsEngine&) = delete;
 
-  /// Attach a replica link and start its sender thread.  The engine owns
-  /// the transport and will close it on destruction.  Add replicas before
-  /// the first write.
+  /// Attach a replica link and arm its event-driven sender (a transport
+  /// that is not a ReactorTcpTransport, even under decorators, gets a
+  /// RecvPump reader and writer thread).  The engine owns the transport
+  /// and will close it on destruction.  Add replicas before the first
+  /// write.
   void add_replica(std::unique_ptr<Transport> link);
 
   /// Number of attached replica links.
@@ -259,7 +253,7 @@ class PrinsEngine final : public BlockDevice {
   std::string describe() const override;
 
   /// Block until every queued message has been sent and acked on every
-  /// link.  Surfaces any replication error encountered by a sender.
+  /// link.  Surfaces any replication error a link's sender hit.
   Status drain();
 
   /// Initial sync: ship the device's entire contents as compressed
@@ -432,6 +426,8 @@ class PrinsEngine final : public BlockDevice {
   };
 
   struct ReplicaLink {
+    /// Delivers through a HandlerTransport (a ReactorTcpTransport under
+    /// its decorators, or a RecvPump).
     std::unique_ptr<Transport> transport;
     std::mutex mutex;  // serializes exchanges on this link
     // Logical timestamp of the newest write this replica has acked;
@@ -454,16 +450,17 @@ class PrinsEngine final : public BlockDevice {
     /// fold and complete immediately instead of queueing.
     std::uint64_t skip_below_ts = 0;
 
-    // Heal state touched only by this link's sender thread (and by
+    // Heal state touched only by this link's heal thread (and by
     // reattach_replica under `mutex`).
     std::deque<ResyncFrame> resync_wire;  // un-acked heal messages
     std::uint64_t resync_upto = 0;        // fold window end of resync_wire
     std::uint32_t heal_failures = 0;
     std::chrono::steady_clock::time_point next_heal{};
 
-    std::thread sender;
+    /// Runs heal_main while the link is degraded; joined before the next.
+    std::thread healer;
 
-    // ---- Reactor-driven sender state (config.reactor_senders) ----------
+    // ---- Event-driven sender state ---------------------------------------
     /// Event-machine phase, guarded by mutex_.  kIdle: nothing in flight,
     /// a pump may open a round.  kAwaitingAcks: a round was transmitted
     /// and replies are being collected by the message handler.  kBackoff:
@@ -473,8 +470,6 @@ class PrinsEngine final : public BlockDevice {
     /// held).  kExclusive: a blocking operator exchange (verify / resync /
     /// fetch) owns the link and reads replies via recv().
     enum class Phase { kIdle, kAwaitingAcks, kBackoff, kHealing, kExclusive };
-    bool reactor_driven = false;  // guarded by mutex_; set at add_replica,
-                                  // cleared only by a threaded fallback
     Phase phase = Phase::kIdle;   // guarded by mutex_
     bool pump_scheduled = false;  // a pump closure is queued (mutex_)
     /// The in-flight round: entries popped from the outbox awaiting acks.
@@ -482,13 +477,13 @@ class PrinsEngine final : public BlockDevice {
     /// touch engine-wide state such as in_flight or outstanding_).
     std::vector<OutMessage> round;
     std::vector<bool> round_acked;     // per-entry outcome so far
-    std::size_t round_attempt = 0;     // mirrors exchange_batch_locked's
+    std::size_t round_attempt = 0;     // consecutive no-progress attempts
     std::size_t round_sent = 0;        // frames sent this attempt
     std::size_t round_covered = 0;     // completions covered this attempt
     bool round_progress = false;       // an ack landed this attempt
     /// The link's single wheel timer (op_timeout, retry backoff, or an
-    /// immediate reattach retransmit — exactly one purpose at a time,
-    /// derived from `phase`).  Guarded by mutex_.
+    /// immediate retransmit on a fresh transport — exactly one purpose at
+    /// a time, derived from `phase`).  Guarded by mutex_.
     TimerId timer = 0;
     bool timer_armed = false;
     /// Bumped on every arm/cancel; a stale wheel callback compares its
@@ -563,32 +558,29 @@ class PrinsEngine final : public BlockDevice {
     std::atomic<std::uint64_t>& slot_;
   };
 
-  void sender_main(ReplicaLink* link);
-  /// Deliver a popped window to the replica with retry/reconnect per the
-  /// RetryPolicy.  OK iff every entry was acked; `acked` records per-entry
-  /// outcomes either way.  Link mutex must be held.
-  Status exchange_batch_locked(ReplicaLink& link,
-                               std::vector<OutMessage>& batch,
-                               std::vector<bool>& acked);
-  Result<Bytes> recv_reply_locked(ReplicaLink& link);
+  /// One blocking request/reply exchange on a link the caller owns (link
+  /// mutex held, handlers parked): send `wire`, then read replies until
+  /// one answers `sequence` — a kAckBatch covering it comes back as a
+  /// plain kAck — skipping stale replies from earlier exchanges.  Each
+  /// attempt waits at most retry.op_timeout (0 = no bound); a timeout, a
+  /// torn reply or a NAK for an unreadable request (sequence 0) resends,
+  /// up to retry.max_attempts times.  A kStaleEpoch NAK fences the engine.  The answer may be a
+  /// NAK; the caller judges its kind.
+  Result<ReplicationMessage> exchange_locked(ReplicaLink& link,
+                                             ByteSpan wire,
+                                             std::uint64_t sequence);
+  /// exchange_locked() for a write-kind frame: OK only on a kAck.
+  Status send_and_ack_locked(ReplicaLink& link, ByteSpan wire,
+                             std::uint64_t sequence);
   /// Rewrite a NAK'd (NakReason::kNeedFullBlock) in-flight parity entry as
   /// a kRepairBlock carrying the block's full contents at the entry's own
   /// timestamp, so deltas queued behind it still telescope.  No-op (the
   /// next retry round converts) while a write is mid-flight to the trap
   /// log.  Link mutex must be held.
   void convert_to_repair_locked(OutMessage& entry);
-  /// Sleep the retry backoff for `attempt` (1-based), waking early on stop.
-  void retry_backoff(ReplicaLink& link, std::size_t attempt);
-  /// Reactor-mode timed wait: park on a gate until the timer wheel fires
-  /// it at `deadline`, or stop/reattach cancels it.  The wheel callback
-  /// captures only the gate (never the engine), so a timer outliving the
-  /// engine is a notify into the void, not a use-after-free.
-  void reactor_wait_until(std::chrono::steady_clock::time_point deadline);
-  /// Wake every parked gate (mutex_ held).  Gates are single-use, so a
-  /// cancelled waiter simply re-checks link state and re-arms if needed.
-  void cancel_gates_locked();
-  /// Degraded-link recovery: reconnect, locate the replica (kHello), fold
-  /// the trap log over the outage, ship it, rejoin the steady-state path.
+  /// Degraded-link recovery: reconnect, locate the replica (kHello), and
+  /// unless the open round survived (a lost connection), fold the trap
+  /// log over the outage and ship it.
   void attempt_heal(ReplicaLink* link);
   Status hello_locked(ReplicaLink& link, std::uint64_t& applied_ts);
   Status build_resync_locked(ReplicaLink& link, std::uint64_t replica_ts);
@@ -638,28 +630,24 @@ class PrinsEngine final : public BlockDevice {
   /// Build and enqueue the kWrite message for one block (shard lock held).
   Status replicate_block(WriteShard& shard, Lba lba, ByteSpan new_block,
                          ByteSpan delta, std::size_t dirty);
-  Status send_and_ack_locked(ReplicaLink& link, ByteSpan wire,
-                             MessageKind expect_ack_of);
   /// Flat per-block verify+repair of one range on one link (link mutex
   /// must be held).  Adds repaired blocks to `repaired`.
   Status flat_verify_locked(ReplicaLink& link, Lba start, std::uint64_t count,
                             std::uint64_t& repaired);
 
-  // ---- Reactor-driven sender path (config.reactor_senders) -------------
-  /// Install message/close handlers on the link's transport.  False when
-  /// the transport is not a ReactorTcpTransport (callers fall back to a
-  /// threaded sender).  Link mutex must be held (or the link not yet
-  /// published).
-  bool install_reactor_link(ReplicaLink* link);
+  // ---- Event-driven sender ----------------------------------------------
+  /// Install message/close handlers on the link's transport.  Link mutex
+  /// must be held (or the link not yet published).
+  void install_link_handlers(ReplicaLink* link);
   /// Uninstall both handlers so an engine-initiated close (or a heal's
-  /// transport swap) fires no callback.  Safe on any transport kind.
+  /// transport swap) fires no callback.
   void clear_link_handlers(ReplicaLink& link);
   /// Post a pump for this link unless one is queued or the link cannot
   /// make progress (mutex_ held).
   void schedule_pump_locked(ReplicaLink* link);
   /// Pop up to pipeline_depth entries into a round and transmit it; on a
-  /// sticky-dead link, drop queued traffic instead (sender_main's
-  /// already_failed path).  Runs under the sender guard.
+  /// sticky-dead link, drop queued traffic instead so producers and
+  /// drain() never block behind it.  Runs under the sender guard.
   void pump_link(ReplicaLink* link);
   /// Message-handler fan-in: ACK / kAckBatch / NAK processing for the
   /// open round, closing it or scheduling a retransmit.
@@ -669,46 +657,60 @@ class PrinsEngine final : public BlockDevice {
   /// Wheel-timer fan-in: op_timeout expiry (kAwaitingAcks) or backoff
   /// expiry (kBackoff).
   void on_link_timer(ReplicaLink* link);
-  /// Retransmit the round's un-acked entries (link mutex held, engine
-  /// mutex not held).
+  /// Send the open round's un-acked entries and arm its op_timeout (link
+  /// mutex held, engine mutex not held).
+  void transmit_round(ReplicaLink* link);
+  /// Retransmit the round's un-acked entries after a backoff (link mutex
+  /// held, engine mutex not held).
   void resend_round(ReplicaLink* link);
-  /// The round came back short: apply exchange_batch_locked's attempt
-  /// bookkeeping and either arm the backoff timer or fail the round.
+  /// Under a full-block policy, an un-acked entry of the open round sits
+  /// behind an acked same-LBA successor.  Retransmitting it would overwrite
+  /// the newer block, and a fold from the acked watermark would skip it
+  /// (and any other un-acked entry below that watermark), so neither heal
+  /// is safe.  mutex_ held.
+  bool reorders_full_block_locked(const ReplicaLink& link) const;
+  /// The round came back short: count the attempt and either arm the
+  /// backoff timer or fail the round.
   /// Enters with mutex_ held via `lock` (and the link mutex held);
   /// releases mutex_.
   void round_retry_or_fail(ReplicaLink* link,
                            std::unique_lock<std::mutex>& lock,
                            const Status& why);
+  /// Close the open round: release in_flight and settle every entry not
+  /// acked yet as dropped.  Engine mutex and link mutex held.
+  void close_round_locked(ReplicaLink& link);
   /// Settle the round as delivered: release in_flight, advance the
   /// watermark, restart the pump.  Enters with mutex_ held via `lock`
   /// (and the link mutex held); releases mutex_.
   void finish_round(ReplicaLink* link, std::unique_lock<std::mutex>& lock);
-  /// Settle the round after an unrecoverable attempt: complete entries
-  /// with their per-entry outcomes and run sender_main's failure
-  /// classification (degraded self-heal vs. sticky error).  Link mutex
-  /// held, engine mutex NOT held.
+  /// The round cannot finish on this connection: classify the failure
+  /// (degraded self-heal vs. sticky error), keeping the round open for
+  /// the heal after a lost connection and settling it otherwise.  A round
+  /// that reorders_full_block_locked() fails sticky.  Link
+  /// mutex held, engine mutex NOT held.
   void fail_round(ReplicaLink* link, const Status& why);
   void arm_link_timer_locked(ReplicaLink* link,
                              std::chrono::steady_clock::time_point deadline);
   void cancel_link_timer_locked(ReplicaLink* link);
-  /// Transient heal thread for a degraded reactor-driven link: waits out
-  /// next_heal on the wheel, runs attempt_heal until the link recovers,
-  /// then rejoins the reactor path (or becomes the threaded sender if the
-  /// reconnect factory produced a non-reactor transport).
+  /// Transient heal thread for a degraded link: waits out next_heal, runs
+  /// attempt_heal until the link recovers, then rejoins the event-driven
+  /// path.
   void heal_main(ReplicaLink* link);
-  /// Reinstall handlers and restart the pump after a heal.  False when
-  /// the link must revert to a threaded sender.
-  bool rejoin_reactor_link(ReplicaLink* link);
-  /// Park the reactor machinery (wait out the open round, uninstall the
+  /// Hand the link back to the event path after a heal: reinstall
+  /// handlers and resume, or settle its traffic if it became unhealable.
+  void rejoin_link(ReplicaLink* link);
+  /// Install handlers on the link's (fresh) transport and retransmit the
+  /// open round, or pump the outbox.  Link mutex held, engine mutex not.
+  void resume_link(ReplicaLink* link);
+  /// Park the link's sender (wait out the open round, uninstall the
   /// message handler) so a blocking request/reply operator exchange can
-  /// read replies via recv().  No-op for threaded links.
+  /// read replies via recv().
   void begin_link_exclusive(ReplicaLink* link);
   void end_link_exclusive(ReplicaLink* link);
   /// RAII wrapper over begin/end_link_exclusive.
   class LinkExclusive;
-  /// The backoff delay before retry `attempt` (1-based) — the same
-  /// exponential-plus-jitter schedule retry_backoff() sleeps.  Link mutex
-  /// must be held (jitter state).
+  /// The exponential-plus-jitter backoff delay before retry `attempt`
+  /// (1-based).  Link mutex must be held (jitter state).
   std::chrono::steady_clock::duration retry_delay(ReplicaLink& link,
                                                   std::size_t attempt);
 
@@ -716,8 +718,9 @@ class PrinsEngine final : public BlockDevice {
   /// (the shared body of full_sync / sync_blocks; does not drain).
   Status enqueue_sync_block(Lba lba, const Codec& codec, Bytes& scratch);
 
-  /// Resolve config.write_shards (env/auto-size, power of two, clamp) and
-  /// build the shard array.  Called once from each constructor.
+  /// Resolve config.write_shards (env/auto-size, power of two, clamp),
+  /// build the shard array, and create the private reactor when none was
+  /// configured.  Called once from each constructor.
   void init_shards();
   /// Advance the logical clock by 1µs; returns the new timestamp.
   std::uint64_t clock_tick();
@@ -758,29 +761,17 @@ class PrinsEngine final : public BlockDevice {
 
   // Outbox fan-out + sender coordination.
   mutable std::mutex mutex_;
-  std::condition_variable queue_cv_;   // producers <-> senders
+  std::condition_variable queue_cv_;   // outbox capacity, phases, heals
   std::condition_variable drain_cv_;   // drain() waiters
   std::atomic<bool> stopping_{false};  // set under mutex_; read lock-free
   Status worker_error_;  // first replication failure, surfaced by drain()
 
-  // Reactor-timer gates (config_.reactor mode): one per in-progress
-  // backoff/heal wait, registered here so stop/reattach can cancel them.
-  struct TimerGate {
-    std::mutex m;
-    std::condition_variable cv;
-    bool fired = false;
-    bool cancelled = false;
-  };
-  std::vector<std::shared_ptr<TimerGate>> gates_;  // guarded by mutex_
-
-  /// Lifetime fence for reactor-sender callbacks.  Message/close
-  /// handlers, wheel timers, and posted pumps capture this guard (never a
-  /// bare `this`) and hold its lock for their whole run; the destructor
-  /// nulls `engine` under the same lock, so teardown waits out any
-  /// in-flight callback and everything that fires later sees null and
-  /// returns.  One guard serializes all reactor-sender callbacks — they
-  /// contend on mutex_ anyway, and sends stay on the (non-blocking)
-  /// loop-thread enqueue path.
+  /// Lifetime fence for sender callbacks.  Message/close handlers, wheel
+  /// timers, and posted pumps capture this guard (never a bare `this`)
+  /// and hold its lock for their whole run; the destructor nulls `engine`
+  /// under the same lock, so teardown waits out any in-flight callback
+  /// and everything that fires later sees null and returns.  One guard serializes all sender callbacks — they contend
+  /// on mutex_ anyway.
   struct SenderGuard {
     std::mutex m;
     PrinsEngine* engine = nullptr;

@@ -22,8 +22,8 @@
 // (FaultyTransport hard-cuts the link mid-frame).  Everything is seeded;
 // a failing (kill, seed) pair replays bit-for-bit for the synchronous
 // layers (between-writes, disk crash).  Mid-frame cuts are observed by
-// sender threads asynchronously, so there the write count may wobble but
-// the invariants checked are timing-independent.
+// the engine's replica senders asynchronously, so there the write count
+// may wobble but the invariants checked are timing-independent.
 #pragma once
 
 #include <cstdint>

@@ -3,6 +3,11 @@
 // semantics, multi-replica fan-out, and failure handling.
 #include <gtest/gtest.h>
 
+#include <condition_variable>
+#include <functional>
+#include <future>
+#include <mutex>
+#include <set>
 #include <thread>
 
 #include "block/faulty_disk.h"
@@ -10,9 +15,11 @@
 #include "codec/codec.h"
 #include "common/rng.h"
 #include "net/inproc.h"
+#include "net/tcp.h"
 #include "net/traffic_meter.h"
 #include "prins/engine.h"
 #include "prins/replica.h"
+#include "prins/verify.h"
 #include "raid/raid_array.h"
 
 namespace prins {
@@ -73,6 +80,33 @@ struct Rig {
     return true;
   }
 };
+
+/// A replica stand-in that answers each request with whatever `script`
+/// returns for it, in order.  Runs until the link closes.
+using Script =
+    std::function<std::vector<ReplicationMessage>(const ReplicationMessage&)>;
+
+std::thread scripted_replica(std::unique_ptr<Transport> link, Script script) {
+  return std::thread([t = std::shared_ptr<Transport>(std::move(link)),
+                      script = std::move(script)] {
+    for (;;) {
+      auto wire = t->recv();
+      if (!wire.is_ok()) return;
+      auto request = ReplicationMessage::decode(*wire);
+      if (!request.is_ok()) continue;
+      for (const ReplicationMessage& reply : script(*request)) {
+        if (!t->send(reply.encode()).is_ok()) return;
+      }
+    }
+  });
+}
+
+ReplicationMessage ack_of(std::uint64_t sequence) {
+  ReplicationMessage ack;
+  ack.kind = MessageKind::kAck;
+  ack.sequence = sequence;
+  return ack;
+}
 
 class EnginePolicies : public ::testing::TestWithParam<ReplicationPolicy> {};
 
@@ -541,6 +575,347 @@ TEST(EngineTest, PipelinedReplicationStaysConsistent) {
   }
   engine.reset();
   server.join();
+}
+
+TEST(EngineTest, WindowWiderThanTheTransportBuffersDoesNotWedge) {
+  // A window of 16 over a pair that buffers one message per direction.
+  // The link's RecvPump writer waits on flow control while its reader
+  // keeps taking replies off the return channel, so the replica keeps
+  // reading and every send completes.
+  auto primary = std::make_shared<MemDisk>(kBlocks, kBs);
+  EngineConfig config;
+  config.policy = ReplicationPolicy::kPrins;
+  config.pipeline_depth = 16;
+  auto engine = std::make_unique<PrinsEngine>(primary, config);
+
+  auto replica_disk = std::make_shared<MemDisk>(kBlocks, kBs);
+  ReplicaConfig replica_config;
+  replica_config.apply_shards = 4;
+  auto replica = std::make_shared<ReplicaEngine>(replica_disk, replica_config);
+  auto [primary_end, replica_end] = make_inproc_pair(/*capacity=*/1);
+  engine->add_replica(std::move(primary_end));
+  std::thread server(
+      [r = replica, t = std::shared_ptr<Transport>(std::move(replica_end))] {
+        ASSERT_TRUE(r->serve(*t).is_ok());
+      });
+
+  Rng rng(13);
+  for (int i = 0; i < 2000; ++i) {
+    ASSERT_TRUE(engine->write(rng.next_below(kBlocks),
+                              random_block(9000 + i)).is_ok());
+  }
+  ASSERT_TRUE(engine->drain().is_ok());
+  EXPECT_EQ(engine->metrics().acks, 2000u);
+  Bytes a(kBs), b(kBs);
+  for (Lba lba = 0; lba < kBlocks; ++lba) {
+    ASSERT_TRUE(primary->read(lba, a).is_ok());
+    ASSERT_TRUE(replica_disk->read(lba, b).is_ok());
+    ASSERT_EQ(a, b) << "lba " << lba;
+  }
+  engine.reset();
+  server.join();
+}
+
+TEST(EngineTest, ResyncDoesNotTakeAStaleAckForItsLastFrame) {
+  // The replica answers the hello twice (a resent hello's second answer),
+  // then never acks the last folded frame.  Each fold frame must wait for
+  // the ack of its own sequence: counting acks instead would take the
+  // spare hello ack for frame 1, frame 1's for frame 2, ... and report the
+  // unacknowledged last frame as delivered.
+  constexpr int kFolds = 4;
+  auto primary = std::make_shared<MemDisk>(kBlocks, kBs);
+  EngineConfig config;
+  config.policy = ReplicationPolicy::kPrins;
+  config.keep_trap_log = true;
+  config.retry.max_attempts = 1;
+  config.retry.op_timeout = std::chrono::milliseconds(50);
+  auto engine = std::make_unique<PrinsEngine>(primary, config);
+  // Written before the replica attaches: its resync folds every block.
+  for (Lba lba = 0; lba < kFolds; ++lba) {
+    ASSERT_TRUE(engine->write(lba, random_block(700 + lba)).is_ok());
+  }
+
+  auto [primary_end, replica_end] = make_inproc_pair();
+  std::set<std::uint64_t> folds;
+  std::uint64_t withheld = 0;
+  std::thread replica = scripted_replica(
+      std::move(replica_end), [&](const ReplicationMessage& request) {
+        std::vector<ReplicationMessage> replies;
+        if (request.kind == MessageKind::kHello) {
+          replies = {ack_of(request.sequence), ack_of(request.sequence)};
+        } else if (request.kind == MessageKind::kWrite) {
+          folds.insert(request.sequence);
+          if (folds.size() == kFolds && withheld == 0) {
+            withheld = request.sequence;
+          }
+          if (request.sequence != withheld) {
+            replies = {ack_of(request.sequence)};
+          }
+        }
+        return replies;
+      });
+  engine->add_replica(std::move(primary_end));
+
+  auto resynced = engine->resync_replica(0);
+  EXPECT_FALSE(resynced.is_ok())
+      << "resync reported " << *resynced << " blocks delivered";
+  engine.reset();
+  replica.join();
+  EXPECT_EQ(folds.size(), static_cast<std::size_t>(kFolds));
+}
+
+TEST(EngineTest, VerifySkipsAStaleAckAheadOfItsReply) {
+  // A duplicate ack of an earlier write reaches the primary just before
+  // the verify reply.  The verify must skip it, take its own reply, and
+  // repair the block the replica reports.
+  auto primary = std::make_shared<MemDisk>(kBlocks, kBs);
+  EngineConfig config;
+  config.policy = ReplicationPolicy::kPrins;
+  config.retry.op_timeout = std::chrono::seconds(5);
+  auto engine = std::make_unique<PrinsEngine>(primary, config);
+
+  auto [primary_end, replica_end] = make_inproc_pair();
+  std::atomic<std::uint64_t> last_write{0};
+  std::atomic<int> repairs{0};
+  std::thread replica = scripted_replica(
+      std::move(replica_end), [&](const ReplicationMessage& request) {
+        std::vector<ReplicationMessage> replies;
+        switch (request.kind) {
+          case MessageKind::kWrite:
+            last_write = request.sequence;
+            replies = {ack_of(request.sequence)};
+            break;
+          case MessageKind::kVerifyRequest: {
+            ReplicationMessage verdict;
+            verdict.kind = MessageKind::kVerifyReply;
+            verdict.sequence = request.sequence;
+            verdict.payload = pack_lbas({5});
+            replies = {ack_of(last_write), verdict};
+            break;
+          }
+          case MessageKind::kRepairBlock:
+            ++repairs;
+            replies = {ack_of(request.sequence)};
+            break;
+          default:
+            break;
+        }
+        return replies;
+      });
+  engine->add_replica(std::move(primary_end));
+
+  for (Lba lba = 0; lba < 8; ++lba) {
+    ASSERT_TRUE(engine->write(lba, random_block(800 + lba)).is_ok());
+  }
+  ASSERT_TRUE(engine->drain().is_ok());
+  auto repaired = engine->verify_and_repair(0, 8);
+  ASSERT_TRUE(repaired.is_ok()) << repaired.status().to_string();
+  EXPECT_EQ(*repaired, 1u);
+  EXPECT_EQ(repairs.load(), 1);
+  engine.reset();
+  replica.join();
+}
+
+/// A link whose sends park until release() or close(): a replica that has
+/// stopped reading, as the sender sees it.
+class ParkedTransport final : public Transport {
+ public:
+  explicit ParkedTransport(std::unique_ptr<Transport> inner)
+      : inner_(std::move(inner)) {}
+
+  void release() {
+    std::lock_guard lock(mutex_);
+    released_ = true;
+    cv_.notify_all();
+  }
+
+  Status send(ByteSpan message) override {
+    {
+      std::unique_lock lock(mutex_);
+      cv_.wait(lock, [&] { return released_ || closed_; });
+      if (closed_) return unavailable("parked link closed");
+    }
+    return inner_->send(message);
+  }
+  Result<Bytes> recv() override { return inner_->recv(); }
+  Result<Bytes> recv_for(std::chrono::milliseconds timeout) override {
+    return inner_->recv_for(timeout);
+  }
+  void close() override {
+    {
+      std::lock_guard lock(mutex_);
+      closed_ = true;
+      cv_.notify_all();
+    }
+    inner_->close();
+  }
+  std::string describe() const override { return "parked"; }
+
+ private:
+  std::unique_ptr<Transport> inner_;
+  std::mutex mutex_;
+  std::condition_variable cv_;
+  bool released_ = false;
+  bool closed_ = false;
+};
+
+TEST(EngineTest, StalledReplicaDoesNotHoldUpAnotherReplicasAcks) {
+  // Replica 1 takes nothing off its link.  The engine's sends to it must
+  // not block the loop that also carries replica 0's pumps and acks.
+  auto primary = std::make_shared<MemDisk>(kBlocks, kBs);
+  EngineConfig config;
+  config.policy = ReplicationPolicy::kPrins;
+  config.pipeline_depth = 8;
+  auto engine = std::make_unique<PrinsEngine>(primary, config);
+
+  auto replica_disk = std::make_shared<MemDisk>(kBlocks, kBs);
+  auto replica = std::make_shared<ReplicaEngine>(replica_disk);
+  auto [live_end, replica_end] = make_inproc_pair();
+  engine->add_replica(std::move(live_end));
+  std::thread server(
+      [r = replica, t = std::shared_ptr<Transport>(std::move(replica_end))] {
+        (void)r->serve(*t);
+      });
+  auto [stalled_end, unread_end] = make_inproc_pair();
+  auto parked = std::make_unique<ParkedTransport>(std::move(stalled_end));
+  ParkedTransport* gate = parked.get();
+  engine->add_replica(std::move(parked));
+
+  constexpr Lba kWrites = 16;
+  for (Lba lba = 0; lba < kWrites; ++lba) {
+    ASSERT_TRUE(engine->write(lba, random_block(1200 + lba)).is_ok());
+  }
+  const auto replica_caught_up = [&] {
+    Bytes a(kBs), b(kBs);
+    for (Lba lba = 0; lba < kWrites; ++lba) {
+      if (!primary->read(lba, a).is_ok() || !replica_disk->read(lba, b).is_ok()
+          || a != b) {
+        return false;
+      }
+    }
+    return true;
+  };
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (!replica_caught_up() && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  EXPECT_TRUE(replica_caught_up());
+
+  gate->release();
+  engine.reset();
+  server.join();
+}
+
+TEST(EngineTest, IdleTcpLinkWhosePeerClosedFailsTheNextWrite) {
+  // A plain TCP link (no op_timeout, no self-heal) whose replica goes away
+  // between writes.  Its close is seen while no round is open; the next
+  // write must still fail, not wait forever for a reply that cannot come.
+  auto listener = TcpListener::listen(0);
+  ASSERT_TRUE(listener.is_ok()) << listener.status().to_string();
+  auto replica_disk = std::make_shared<MemDisk>(kBlocks, kBs);
+  auto replica = std::make_shared<ReplicaEngine>(replica_disk);
+  std::shared_ptr<Transport> served;
+  std::promise<void> accepted;
+  std::thread server([&] {
+    auto conn = (*listener)->accept();
+    ASSERT_TRUE(conn.is_ok());
+    served = std::move(*conn);
+    accepted.set_value();
+    (void)replica->serve(*served);
+  });
+  auto link = TcpTransport::connect("127.0.0.1", (*listener)->port());
+  ASSERT_TRUE(link.is_ok()) << link.status().to_string();
+  accepted.get_future().wait();
+
+  auto primary = std::make_shared<MemDisk>(kBlocks, kBs);
+  EngineConfig config;
+  config.policy = ReplicationPolicy::kPrins;
+  auto engine = std::make_unique<PrinsEngine>(primary, config);
+  engine->add_replica(std::move(*link));
+  ASSERT_TRUE(engine->write(1, random_block(1300)).is_ok());
+  ASSERT_TRUE(engine->drain().is_ok());
+
+  served->close();  // the replica dies while the link is idle
+  server.join();
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));  // EOF lands
+
+  (void)engine->write(2, random_block(1301));  // may already see the error
+  auto drained = std::async(std::launch::async, [&] { return engine->drain(); });
+  ASSERT_EQ(drained.wait_for(std::chrono::seconds(10)),
+            std::future_status::ready)
+      << "drain() hung on a dead link";
+  EXPECT_FALSE(drained.get().is_ok());
+}
+
+TEST(EngineTest, ConnectionLossNeverReplaysAFullBlockOverItsSuccessor) {
+  // Full-block policy, a window of 4: write A1 to LBA 5 is lost, its
+  // successor A2 to LBA 5 is acked, then the connection drops.  Replaying
+  // the open round on the healed link would put A1 over A2 at the replica;
+  // folding from the acked watermark would skip A1.  The engine must fail
+  // sticky rather than diverge silently.
+  constexpr Lba kHot = 5;
+  auto replica_disk = std::make_shared<MemDisk>(kBlocks, kBs);
+  auto replica = std::make_shared<ReplicaEngine>(replica_disk);
+  InprocNetwork network;
+  auto healed = network.listen("replica");
+  ASSERT_TRUE(healed.is_ok());
+  auto shared_listener = std::shared_ptr<Listener>(std::move(*healed));
+  std::thread heal_server = replica_serve_in_background(replica, shared_listener);
+
+  auto primary = std::make_shared<MemDisk>(kBlocks, kBs);
+  EngineConfig config;
+  config.policy = ReplicationPolicy::kTraditional;
+  config.pipeline_depth = 4;
+  config.keep_trap_log = true;
+  config.retry.op_timeout = std::chrono::seconds(10);
+  config.reconnect = [&](std::size_t) { return network.connect("replica"); };
+  auto engine = std::make_unique<PrinsEngine>(primary, config);
+
+  // The first link: holds the first write's ack until both hot writes are
+  // queued behind it (so they share the next round), never acks the first
+  // hot write, acks the second, then hangs up.
+  auto [primary_end, replica_end] = make_inproc_pair();
+  std::promise<void> hot_queued;
+  std::shared_future<void> queued = hot_queued.get_future().share();
+  std::thread first_link([&, t = std::move(replica_end)] {
+    int writes = 0;
+    for (;;) {
+      auto wire = t->recv();
+      if (!wire.is_ok()) return;
+      auto request = ReplicationMessage::decode(*wire);
+      ASSERT_TRUE(request.is_ok());
+      ++writes;
+      if (writes == 1) queued.wait();
+      if (writes == 2) continue;  // lost
+      auto reply = replica->apply(*request);
+      ASSERT_TRUE(reply.is_ok()) << reply.status().to_string();
+      ASSERT_TRUE(t->send(reply->encode()).is_ok());
+      if (writes == 3) {
+        t->close();
+        return;
+      }
+    }
+  });
+  engine->add_replica(std::move(primary_end));
+
+  ASSERT_TRUE(engine->write(0, random_block(1400)).is_ok());
+  ASSERT_TRUE(engine->write(kHot, random_block(1401)).is_ok());
+  ASSERT_TRUE(engine->write(kHot, random_block(1402)).is_ok());
+  hot_queued.set_value();
+  first_link.join();
+
+  const Status drained = engine->drain();
+  Bytes a(kBs), b(kBs);
+  ASSERT_TRUE(primary->read(kHot, a).is_ok());
+  ASSERT_TRUE(replica_disk->read(kHot, b).is_ok());
+  EXPECT_TRUE(!drained.is_ok() || a == b)
+      << "the replica silently holds an older block " << kHot;
+  EXPECT_FALSE(drained.is_ok());
+  EXPECT_EQ(engine->metrics().auto_resyncs, 0u);
+  engine.reset();
+  shared_listener->close();
+  heal_server.join();
 }
 
 TEST(EngineTest, CoalescedReplicationConvergesOnHotBlock) {

@@ -283,6 +283,28 @@ TEST(TcpTest, PeerCloseYieldsUnavailable) {
   server.join();
 }
 
+TEST(TcpTest, ScatterSendToAGonePeerFailsInsteadOfRaisingSigpipe) {
+  auto listener = TcpListener::listen(0);
+  ASSERT_TRUE(listener.is_ok());
+  std::thread server([&] {
+    auto conn = (*listener)->accept();
+    ASSERT_TRUE(conn.is_ok());
+  });  // the accepted socket is destroyed: the peer is gone
+  auto client = TcpTransport::connect("127.0.0.1", (*listener)->port());
+  ASSERT_TRUE(client.is_ok());
+  server.join();
+  const Bytes part(1024, 0x5a);
+  const ByteSpan parts[] = {part, part};
+  Status sent = Status::ok();
+  // The first sends land in the kernel; once the reset comes back, the
+  // next one must fail (EPIPE), not kill the process.
+  for (int i = 0; i < 200 && sent.is_ok(); ++i) {
+    sent = (*client)->send_vec(parts);
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_FALSE(sent.is_ok());
+}
+
 // ---- packet model & traffic meter ------------------------------------------------
 
 TEST(PacketModelTest, MatchesPaperFormula) {

@@ -1,8 +1,8 @@
 // Tests for the thread-free node: ReactorReplicaServer (many initiators,
 // one shared apply pipeline), ReactorIscsiServer (actor-per-session PDU
-// serving), the reactor-driven engine senders (EngineConfig::
-// reactor_senders), the concurrent replica_serve_in_background accept
-// loop, and the validated PRINS_* env knob parser.  Everything here runs
+// serving), the engine's event-driven senders on ReactorTcpTransport
+// links, the concurrent replica_serve_in_background accept loop, and the
+// validated PRINS_* env knob parser.  Everything here runs
 // under the `reactor` ctest label, so the CI sanitizer matrix (ASan/TSan)
 // sweeps it.
 #include <gtest/gtest.h>
@@ -21,6 +21,7 @@
 #include "iscsi/reactor_target.h"
 #include "iscsi/target.h"
 #include "net/faulty.h"
+#include "net/inproc.h"
 #include "net/reactor.h"
 #include "net/reactor_tcp.h"
 #include "net/tcp.h"
@@ -579,7 +580,6 @@ TEST(ReactorSenderTest, WritesConvergeWithoutSenderThreads) {
   ASSERT_TRUE(reactor.is_ok());
   EngineConfig config;
   config.reactor = *reactor;
-  config.reactor_senders = true;
   config.retry.op_timeout = 2s;
   auto primary = std::make_shared<MemDisk>(kBlocks, kBs);
   auto engine = std::make_unique<PrinsEngine>(primary, config);
@@ -612,9 +612,10 @@ TEST(ReactorSenderTest, WritesConvergeWithoutSenderThreads) {
 }
 
 TEST(ReactorSenderTest, MeteredReactorLinkStartsNoSenderThread) {
-  // A TrafficMeter around a reactor link must still see through to the
-  // reactor connection; otherwise add_replica silently falls back to a
-  // threaded sender.
+  // Decorators (a TrafficMeter over a FaultyTransport) around a reactor
+  // link must still see through to the reactor connection; otherwise
+  // add_replica would wrap the link in a RecvPump and start its reader
+  // thread.  This is the gate the stack bench applies.
   constexpr std::uint32_t kBs = 1024;
   constexpr std::uint64_t kBlocks = 64;
   auto replica_disk = std::make_shared<MemDisk>(kBlocks, kBs);
@@ -628,20 +629,19 @@ TEST(ReactorSenderTest, MeteredReactorLinkStartsNoSenderThread) {
   ASSERT_TRUE(reactor.is_ok());
   EngineConfig config;
   config.reactor = *reactor;
-  config.reactor_senders = true;
   config.retry.op_timeout = 2s;
   auto primary = std::make_shared<MemDisk>(kBlocks, kBs);
   auto engine = std::make_unique<PrinsEngine>(primary, config);
   auto link = ReactorTcpTransport::connect(*reactor, "127.0.0.1",
                                            (*server)->port());
   ASSERT_TRUE(link.is_ok()) << link.status().to_string();
-  auto meter = std::make_unique<TrafficMeter>(std::move(*link));
+  auto meter = std::make_unique<TrafficMeter>(
+      std::make_unique<FaultyTransport>(std::move(*link), FaultConfig{}));
   const TrafficMeter* traffic = meter.get();
-  // The check stackbench makes: add_replica must not add a thread.
   const std::size_t threads_before = settled_thread_count();
   engine->add_replica(std::move(meter));
   EXPECT_LE(count_threads(), threads_before)
-      << "add_replica started a sender thread for a metered reactor link";
+      << "add_replica started a thread for a decorated reactor link";
 
   Rng rng(43);
   Bytes block(kBs);
@@ -661,10 +661,99 @@ TEST(ReactorSenderTest, MeteredReactorLinkStartsNoSenderThread) {
   (*server)->stop();
 }
 
+TEST(ReactorSenderTest, ReattachSwapsBlockingAndReactorLinksUnderLiveWrites) {
+  // One replica link moves inproc -> reactor TCP -> inproc -> reactor TCP
+  // while a writer keeps going.  Both kinds run the same event-driven
+  // sender (the inproc one through a RecvPump), so each swap only
+  // retransmits the open round on the fresh transport: every write is
+  // acked exactly once and the replica ends byte-identical.
+  constexpr std::uint32_t kBs = 1024;
+  constexpr std::uint64_t kBlocks = 64;
+  ReplicaConfig rconfig;
+  rconfig.apply_shards = 2;
+  auto replica_disk = std::make_shared<MemDisk>(kBlocks, kBs);
+  auto replica = std::make_shared<ReplicaEngine>(replica_disk, rconfig);
+  auto pool = ReactorPool::create(1);
+  ASSERT_TRUE(pool.is_ok());
+  auto server = ReactorReplicaServer::start(replica, *pool);
+  ASSERT_TRUE(server.is_ok());
+
+  auto reactor = Reactor::create();
+  ASSERT_TRUE(reactor.is_ok());
+  EngineConfig config;
+  config.reactor = *reactor;
+  config.pipeline_depth = 4;
+  config.retry.op_timeout = 2s;
+  auto primary = std::make_shared<MemDisk>(kBlocks, kBs);
+  auto engine = std::make_unique<PrinsEngine>(primary, config);
+
+  std::vector<std::thread> serve_threads;
+  const auto inproc_link = [&]() -> std::unique_ptr<Transport> {
+    auto [primary_end, replica_end] = make_inproc_pair();
+    serve_threads.emplace_back(
+        [replica, t = std::shared_ptr<Transport>(std::move(replica_end))] {
+          (void)replica->serve(*t);
+        });
+    return std::move(primary_end);
+  };
+  engine->add_replica(inproc_link());
+
+  std::atomic<bool> stop{false};
+  std::atomic<int> written{0};
+  std::atomic<bool> write_failed{false};
+  std::thread writer([&] {
+    Rng rng(59);
+    Bytes block(kBs);
+    while (!stop.load()) {
+      rng.fill(block);
+      if (!engine->write(rng.next_below(kBlocks), block).is_ok()) {
+        write_failed = true;
+        return;
+      }
+      ++written;
+    }
+  });
+  for (int swap = 0; swap < 4; ++swap) {
+    const int target = written.load() + 300;
+    ASSERT_TRUE(await([&] { return written.load() >= target; }));
+    std::unique_ptr<Transport> fresh;
+    if (swap % 2 == 0) {
+      auto tcp = ReactorTcpTransport::connect(*reactor, "127.0.0.1",
+                                              (*server)->port());
+      ASSERT_TRUE(tcp.is_ok()) << tcp.status().to_string();
+      fresh = std::move(*tcp);
+    } else {
+      fresh = inproc_link();
+    }
+    ASSERT_TRUE(engine->reattach_replica(0, std::move(fresh)).is_ok());
+  }
+  const int target = written.load() + 300;
+  ASSERT_TRUE(await([&] { return written.load() >= target; }));
+  stop = true;
+  writer.join();
+  EXPECT_FALSE(write_failed.load());
+
+  ASSERT_TRUE(engine->drain().is_ok());
+  const EngineMetrics metrics = engine->metrics();
+  EXPECT_EQ(metrics.writes, static_cast<std::uint64_t>(written.load()));
+  EXPECT_EQ(metrics.acks, metrics.writes);
+  Bytes want(kBs), got(kBs);
+  for (Lba lba = 0; lba < kBlocks; ++lba) {
+    ASSERT_TRUE(primary->read(lba, want).is_ok());
+    ASSERT_TRUE(replica_disk->read(lba, got).is_ok());
+    ASSERT_EQ(want, got) << "diverged at lba " << lba;
+  }
+  engine.reset();
+  (*server)->stop();
+  for (auto& t : serve_threads) t.join();
+}
+
 TEST(ReactorSenderTest, HealsAfterHardConnectionCut) {
-  // The reactor senders never reconnect in-round: a cut degrades the link
-  // and the self-heal path (trap-log fold over a fresh transport from the
-  // reconnect factory) catches the replica up.
+  // A cut degrades the link and keeps its open round; the self-heal
+  // reconnects through the factory, sends kHello and resumes the link,
+  // which replays the round's un-acked entries (replica dedup absorbs the
+  // ones that already landed).  Writes queued during the outage follow on
+  // the fresh transport.
   constexpr std::uint32_t kBs = 1024;
   constexpr std::uint64_t kBlocks = 64;
   auto replica_disk = std::make_shared<MemDisk>(kBlocks, kBs);
@@ -690,7 +779,6 @@ TEST(ReactorSenderTest, HealsAfterHardConnectionCut) {
   config.retry.max_backoff = 10ms;
   config.retry.op_timeout = 2s;
   config.reactor = *reactor;
-  config.reactor_senders = true;
   config.reconnect = [&](std::size_t) -> Result<std::unique_ptr<Transport>> {
     auto fresh = ReactorTcpTransport::connect(
         *reactor, "127.0.0.1", port);
@@ -746,7 +834,6 @@ TEST(ReactorSenderTest, VerifyAndRepairParksTheSenderExclusively) {
   ASSERT_TRUE(reactor.is_ok());
   EngineConfig config;
   config.reactor = *reactor;
-  config.reactor_senders = true;
   config.retry.op_timeout = 2s;
   auto primary = std::make_shared<MemDisk>(kBlocks, kBs);
   auto engine = std::make_unique<PrinsEngine>(primary, config);

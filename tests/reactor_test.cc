@@ -5,8 +5,9 @@
 // write whose unsent tail finishes through the outbox), blocked receivers
 // reading their own socket (deadlines, serialized readers, the hand-back
 // to a message handler, a one-CPU lost-wakeup soak), a 256-connection echo
-// soak through the handler path, and a reconnect storm under
-// FaultyListener-injected disconnects.
+// soak through the handler path, a reconnect storm under
+// FaultyListener-injected disconnects, and RecvPump, which gives blocking
+// transports the same handler contract.
 #include <gtest/gtest.h>
 #include <sched.h>
 
@@ -22,6 +23,7 @@
 #include "net/inproc.h"
 #include "net/reactor.h"
 #include "net/reactor_tcp.h"
+#include "net/recv_pump.h"
 #include "net/tcp.h"
 #include "prins/engine.h"
 #include "prins/replica.h"
@@ -674,12 +676,222 @@ TEST(ReactorTcpTest, CloseUnblocksPendingRecv) {
   closer.join();
 }
 
+// ---- RecvPump: the handler contract over a blocking transport -------------
+
+std::uint32_t index_of(const Bytes& m) { return load_le32(m); }
+
+Bytes indexed(std::uint32_t i) {
+  Bytes m(4);
+  store_le32(m, i);
+  return m;
+}
+
+TEST(RecvPumpTest, HandlerInboxHandlerHandoffLosesAndRepeatsNothing) {
+  // A stream of numbered frames while the handler is removed and put back:
+  // the handler sees a prefix, recv() the next 500, the handler the rest,
+  // each exactly once and in order, always on the loop thread.
+  constexpr std::uint32_t kFrames = 3000;
+  constexpr std::uint32_t kPulled = 500;
+  auto reactor = Reactor::create();
+  ASSERT_TRUE(reactor.is_ok());
+  std::mutex mutex;
+  std::vector<std::uint32_t> handled;
+  std::atomic<bool> off_loop{false};
+  const auto handler = [&](Bytes&& m) {
+    if (!(*reactor)->on_loop_thread()) off_loop = true;
+    std::lock_guard lock(mutex);
+    handled.push_back(index_of(m));
+  };
+  auto [near, far] = make_inproc_pair(/*capacity=*/4);
+  RecvPump pump(std::move(near), *reactor);
+  pump.set_message_handler(handler);
+  std::thread peer([&, t = far.get()] {
+    for (std::uint32_t i = 0; i < kFrames; ++i) {
+      ASSERT_TRUE(t->send(indexed(i)).is_ok());
+    }
+  });
+  ASSERT_TRUE(await([&] {
+    std::lock_guard lock(mutex);
+    return handled.size() >= 100;
+  }));
+  pump.set_message_handler(nullptr);
+  std::vector<std::uint32_t> pulled;
+  for (std::uint32_t i = 0; i < kPulled; ++i) {
+    auto m = pump.recv_for(5s);
+    ASSERT_TRUE(m.is_ok()) << m.status().to_string();
+    pulled.push_back(index_of(*m));
+  }
+  pump.set_message_handler(handler);
+  peer.join();
+  ASSERT_TRUE(await([&] {
+    std::lock_guard lock(mutex);
+    return handled.size() + kPulled == kFrames;
+  }));
+  std::this_thread::sleep_for(20ms);  // a duplicate would land by now
+
+  std::lock_guard lock(mutex);
+  ASSERT_EQ(handled.size() + pulled.size(), kFrames);
+  const std::size_t before = pulled.front();  // frames the handler saw first
+  for (std::uint32_t i = 0; i < kFrames; ++i) {
+    const std::uint32_t got = i < before            ? handled[i]
+                              : i < before + kPulled ? pulled[i - before]
+                                                     : handled[i - kPulled];
+    ASSERT_EQ(got, i) << "frame " << i;
+  }
+  EXPECT_FALSE(off_loop.load());
+  pump.set_message_handler(nullptr);
+}
+
+TEST(RecvPumpTest, BlockingRecvAfterClearingTheHandlerGetsTheNextFrame) {
+  // The engine's exclusive exchange: park the handler, then read the
+  // reply with a deadline.
+  auto reactor = Reactor::create();
+  ASSERT_TRUE(reactor.is_ok());
+  std::atomic<int> handled{0};
+  auto [near, far] = make_inproc_pair();
+  RecvPump pump(std::move(near), *reactor);
+  pump.set_message_handler([&](Bytes&&) { ++handled; });
+  ASSERT_TRUE(far->send(message("to the handler")).is_ok());
+  ASSERT_TRUE(await([&] { return handled.load() == 1; }));
+
+  pump.set_message_handler(nullptr);
+  EXPECT_EQ(pump.recv_for(20ms).status().code(), ErrorCode::kTimeout);
+  ASSERT_TRUE(far->send(message("reply")).is_ok());
+  auto reply = pump.recv_for(5s);
+  ASSERT_TRUE(reply.is_ok()) << reply.status().to_string();
+  EXPECT_EQ(*reply, message("reply"));
+  EXPECT_EQ(handled.load(), 1);
+}
+
+TEST(RecvPumpTest, PeerCloseFiresTheCloseHandlerOnce) {
+  auto reactor = Reactor::create();
+  ASSERT_TRUE(reactor.is_ok());
+  std::atomic<int> closes{0};
+  std::atomic<int> frames{0};
+  std::atomic<bool> frame_after_close{false};
+  std::atomic<int> late{0};
+  auto [near, far] = make_inproc_pair();
+  RecvPump pump(std::move(near), *reactor);
+  pump.set_message_handler([&](Bytes&&) {
+    if (closes.load() != 0) frame_after_close = true;
+    ++frames;
+  });
+  pump.set_close_handler([&](const Status& why) {
+    EXPECT_EQ(why.code(), ErrorCode::kUnavailable);
+    ++closes;
+  });
+  ASSERT_TRUE(far->send(message("last words")).is_ok());
+  far->close();
+  ASSERT_TRUE(await([&] { return closes.load() == 1; }));
+  std::this_thread::sleep_for(20ms);
+  EXPECT_EQ(closes.load(), 1);
+  EXPECT_EQ(frames.load(), 1);
+  EXPECT_FALSE(frame_after_close.load());  // messages first, then the close
+  EXPECT_EQ(pump.recv_for(5s).status().code(), ErrorCode::kUnavailable);
+
+  // Installed on a dead connection, a handler still fires, once.
+  pump.set_close_handler([&](const Status&) { ++late; });
+  ASSERT_TRUE(await([&] { return late.load() == 1; }));
+  std::this_thread::sleep_for(20ms);
+  EXPECT_EQ(late.load(), 1);
+}
+
+TEST(RecvPumpTest, SendsFailOnceThePeerHasClosed) {
+  // The close handler is one-shot: a caller that saw it while idle (or
+  // never installed one) learns of the death from its next send.  Over
+  // TCP the kernel would still take that send after the peer's FIN.
+  auto reactor = Reactor::create();
+  ASSERT_TRUE(reactor.is_ok());
+  auto listener = TcpListener::listen(0);
+  ASSERT_TRUE(listener.is_ok()) << listener.status().to_string();
+  auto near = TcpTransport::connect("127.0.0.1", (*listener)->port());
+  ASSERT_TRUE(near.is_ok()) << near.status().to_string();
+  auto far = (*listener)->accept();
+  ASSERT_TRUE(far.is_ok()) << far.status().to_string();
+  std::atomic<int> closes{0};
+  RecvPump pump(std::move(*near), *reactor);
+  pump.set_close_handler([&](const Status&) { ++closes; });
+  ASSERT_TRUE(pump.send(message("before")).is_ok());
+  ASSERT_TRUE((*far)->recv_for(5s).is_ok());
+  (*far)->close();
+  ASSERT_TRUE(await([&] { return closes.load() == 1; }));
+  EXPECT_FALSE(pump.send(message("after")).is_ok());
+  const Bytes a = message("a"), b = message("b");
+  const ByteSpan parts[] = {a, b};
+  EXPECT_FALSE(pump.send_vec(parts).is_ok());
+}
+
+TEST(RecvPumpTest, SendNeverWaitsForAPeerThatStoppedReading) {
+  // A peer that reads nothing, behind a channel of one message: every send
+  // returns at once and the writer delivers in order once the peer reads.
+  auto reactor = Reactor::create();
+  ASSERT_TRUE(reactor.is_ok());
+  constexpr std::uint32_t kFrames = 64;
+  auto [near, far] = make_inproc_pair(/*capacity=*/1);
+  RecvPump pump(std::move(near), *reactor);
+  const auto start = std::chrono::steady_clock::now();
+  for (std::uint32_t i = 0; i < kFrames; ++i) {
+    ASSERT_TRUE(pump.send(indexed(i)).is_ok());
+  }
+  EXPECT_LT(std::chrono::steady_clock::now() - start, 2s);
+  for (std::uint32_t i = 0; i < kFrames; ++i) {
+    auto m = far->recv_for(5s);
+    ASSERT_TRUE(m.is_ok()) << m.status().to_string();
+    ASSERT_EQ(index_of(*m), i);
+  }
+}
+
+TEST(RecvPumpTest, DestructorJoinsTheReaderParkedInRecv) {
+  // Also the writer parked on flow control: two sends over a channel of
+  // one message nobody reads.
+  auto reactor = Reactor::create();
+  ASSERT_TRUE(reactor.is_ok());
+  auto [near, far] = make_inproc_pair(/*capacity=*/1);
+  {
+    RecvPump pump(std::move(near), *reactor);
+    pump.set_message_handler([](Bytes&&) {});
+    ASSERT_TRUE(pump.send(indexed(0)).is_ok());
+    ASSERT_TRUE(pump.send(indexed(1)).is_ok());
+    std::this_thread::sleep_for(20ms);  // both threads are parked
+  }
+  // The inner transport was closed on the way out: the one frame the
+  // channel held, then end of stream; the unsent frame was dropped.
+  auto first = far->recv_for(5s);
+  ASSERT_TRUE(first.is_ok()) << first.status().to_string();
+  EXPECT_EQ(index_of(*first), 0u);
+  EXPECT_EQ(far->recv_for(5s).status().code(), ErrorCode::kUnavailable);
+}
+
+TEST(RecvPumpTest, OnlyTransportsWithoutHandlersAreWrapped) {
+  auto reactor = Reactor::create();
+  ASSERT_TRUE(reactor.is_ok());
+  auto [near, far] = make_inproc_pair();
+  auto wrapped = with_message_handlers(
+      std::make_unique<FaultyTransport>(std::move(near), FaultConfig{}),
+      *reactor);
+  EXPECT_NE(dynamic_cast<RecvPump*>(wrapped.get()), nullptr);
+
+  // A reactor connection under a decorator already has handlers.
+  auto pool = ReactorPool::create(1);
+  ASSERT_TRUE(pool.is_ok());
+  auto listener = ReactorListener::listen(*pool, 0);
+  ASSERT_TRUE(listener.is_ok());
+  auto client = ReactorTcpTransport::connect(
+      (*pool)->at(0).shared_from_this(), "127.0.0.1", (*listener)->port());
+  ASSERT_TRUE(client.is_ok());
+  auto decorated =
+      std::make_unique<FaultyTransport>(std::move(*client), FaultConfig{});
+  const Transport* before = decorated.get();
+  auto kept = with_message_handlers(std::move(decorated), *reactor);
+  EXPECT_EQ(kept.get(), before);
+}
+
 // ---- engine backoff on reactor timers --------------------------------------
 
-TEST(ReactorEngineTest, RetryAndHealBackoffRideTheTimerWheel) {
-  // Same lossy-fabric convergence the self-heal soak proves, but with
-  // EngineConfig::reactor set: every retry backoff and heal delay becomes
-  // a wheel entry firing a gate instead of a per-thread timed sleep.
+TEST(ReactorEngineTest, RetryBackoffRidesTheTimerWheelAndTheCutHeals) {
+  // Same lossy-fabric convergence the self-heal soak proves, on a shared
+  // EngineConfig::reactor: every reply timeout and retry backoff is a
+  // wheel entry, and the hard cut is recovered by the heal thread.
   constexpr std::uint32_t kBs = 1024;
   constexpr std::uint64_t kBlocks = 64;
   InprocNetwork network;
@@ -732,14 +944,14 @@ TEST(ReactorEngineTest, RetryAndHealBackoffRideTheTimerWheel) {
 
   const EngineMetrics metrics = engine->metrics();
   EXPECT_GT(metrics.retries, 0u);      // drops forced wheel-timed backoffs
-  EXPECT_GE(metrics.reconnects, 1u);   // the cut forced a wheel-timed heal
+  EXPECT_GE(metrics.reconnects, 1u);   // the cut forced a heal
   Bytes a(kBs), b(kBs);
   for (Lba lba = 0; lba < kBlocks; ++lba) {
     ASSERT_TRUE(primary->read(lba, a).is_ok());
     ASSERT_TRUE(replica_disk->read(lba, b).is_ok());
     ASSERT_EQ(a, b) << "diverged at lba " << lba;
   }
-  engine.reset();  // destructor cancels any parked gates
+  engine.reset();  // destructor cancels the links' wheel timers
   EXPECT_TRUE(
       await([&] { return (*reactor)->pending_timers() == 0; }, 2s));
   shared_listener->close();

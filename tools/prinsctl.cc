@@ -354,11 +354,9 @@ Result<EngineConfig> primary_engine_config(const Options& options) {
   // rather than when the router is built.
   config.read_from_replicas = !read_replica_specs().empty();
   if (auto pool = shared_reactor_pool()) {
-    // Retry/heal backoff rides the reactor's timer wheel instead of a
-    // per-thread timed wait, and replica links are pumped by reactor
-    // callbacks instead of one sender thread each.
+    // The replica senders run on the node's shared loop instead of a
+    // private one.
     config.reactor = pool->at(0).shared_from_this();
-    config.reactor_senders = true;
   }
   const std::string journal_path = options.get("journal", "");
   if (!journal_path.empty()) {
@@ -640,7 +638,6 @@ int run_scrub(const Options& options) {
   engine_config.policy = parse_policy(options.get("policy", "prins"));
   if (auto pool = shared_reactor_pool()) {
     engine_config.reactor = pool->at(0).shared_from_this();
-    engine_config.reactor_senders = true;
   }
   PrinsEngine engine(disk, engine_config);
 
