@@ -2,8 +2,8 @@
 //
 // Every bench wants the same three things: a steady clock, microsecond
 // round-trip samples, and order-statistic percentiles over those samples.
-// Keeping one implementation here means conn_scale, node_threads, and
-// read_scale agree on what "p99" means (nth_element order statistic, not
+// Keeping one implementation here means the benches and the stack bench
+// agree on what "p99" means (nth_element order statistic, not
 // an interpolated or bucketed estimate) and a fix lands everywhere at
 // once.
 #pragma once

@@ -3,9 +3,9 @@
 // Two engine configurations face off at 1/2/4/8 concurrent writers on
 // disjoint LBA stripes:
 //
-//   baseline  write_shards=1, pool_buffers=false  (the pre-shard pipeline:
+//   baseline  write_shards=1, pool_max_free=0    (the pre-shard pipeline:
 //             one global submit lock, fresh heap buffers per write)
-//   sharded   write_shards=8, pool_buffers=true   (LBA-striped locks +
+//   sharded   write_shards=8, pool_max_free=128  (LBA-striped locks +
 //             freelist buffers + scatter-gather framing)
 //
 // For each cell we report writes/s and — via a global operator new override
@@ -102,7 +102,7 @@ Cell run_cell(const char* name, int threads, std::uint64_t writes,
   EngineConfig config;
   config.policy = ReplicationPolicy::kPrinsRle;
   config.write_shards = shards;
-  config.pool_buffers = pool;
+  if (!pool) config.pool_max_free = 0;
   // A bounded outbox plus a streaming ack window is the realistic steady
   // state: producers feel backpressure, the sender keeps the link busy, and
   // in-flight frames stay below the pool's freelist bound so they recycle.

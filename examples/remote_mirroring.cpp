@@ -12,7 +12,6 @@
 #include <cstdio>
 #include <map>
 #include <memory>
-#include <thread>
 
 #include "block/mem_disk.h"
 #include "cluster/cluster_router.h"
@@ -23,7 +22,6 @@
 #include "iscsi/target.h"
 #include "net/reactor.h"
 #include "net/reactor_tcp.h"
-#include "net/tcp.h"
 #include "net/traffic_meter.h"
 #include "prins/engine.h"
 #include "prins/reactor_server.h"
@@ -38,58 +36,24 @@ Status run() {
   constexpr std::uint32_t kBlockSize = 4096;
   constexpr std::uint64_t kBlocks = 512;
 
-  // With PRINS_REACTOR set, both server nodes become thread-free: the
-  // replica and the iSCSI target serve every session as reactor handlers
-  // (ReactorReplicaServer / ReactorIscsiServer), and the engine's replica
-  // links run on the epoll pool's loop without a reader thread each.  Either way the rest of
-  // the program is identical: both transports speak the same wire format
-  // behind the same blocking API.
-  std::shared_ptr<ReactorPool> pool;
-  if (reactor_enabled_from_env()) {
-    PRINS_ASSIGN_OR_RETURN(pool, ReactorPool::create());
-    std::printf("PRINS_REACTOR on: %zu reactor loop thread(s)\n",
-                pool->size());
-  }
-  auto listen_loopback =
-      [&](std::uint16_t port) -> Result<std::shared_ptr<Listener>> {
-    if (pool != nullptr) {
-      PRINS_ASSIGN_OR_RETURN(auto owned, ReactorListener::listen(pool, port));
-      return std::shared_ptr<Listener>(std::move(owned));
-    }
-    PRINS_ASSIGN_OR_RETURN(auto owned, TcpListener::listen(port));
-    return std::shared_ptr<Listener>(std::move(owned));
-  };
-  auto listener_port = [&](const std::shared_ptr<Listener>& listener) {
-    if (pool != nullptr) {
-      return static_cast<ReactorListener&>(*listener).port();
-    }
-    return static_cast<TcpListener&>(*listener).port();
-  };
+  // Both server nodes are thread-free: the replica and the iSCSI target
+  // serve every session as reactor handlers (ReactorReplicaServer /
+  // ReactorIscsiServer), and the engine's replica links run on the pool's
+  // loop without a thread of their own.  PRINS_REACTOR_THREADS sizes the
+  // pool.
+  PRINS_ASSIGN_OR_RETURN(auto pool, ReactorPool::create());
   auto connect_loopback =
       [&](std::uint16_t port) -> Result<std::unique_ptr<Transport>> {
-    if (pool != nullptr) {
-      return ReactorTcpTransport::connect(pool->next().shared_from_this(),
-                                          "127.0.0.1", port);
-    }
-    return TcpTransport::connect("127.0.0.1", port);
+    return ReactorTcpTransport::connect(pool->next().shared_from_this(),
+                                        "127.0.0.1", port);
   };
 
   // --- replica node: ReplicaEngine listening on TCP ----------------------
   auto replica_disk = std::make_shared<MemDisk>(kBlocks, kBlockSize);
   auto replica = std::make_shared<ReplicaEngine>(replica_disk);
-  std::unique_ptr<ReactorReplicaServer> replica_server;
-  std::shared_ptr<Listener> replica_listener;
-  std::thread replica_thread;
-  std::uint16_t replica_port = 0;
-  if (pool != nullptr) {
-    PRINS_ASSIGN_OR_RETURN(replica_server,
-                           ReactorReplicaServer::start(replica, pool));
-    replica_port = replica_server->port();
-  } else {
-    PRINS_ASSIGN_OR_RETURN(replica_listener, listen_loopback(0));
-    replica_port = listener_port(replica_listener);
-    replica_thread = replica_serve_in_background(replica, replica_listener);
-  }
+  PRINS_ASSIGN_OR_RETURN(auto replica_server,
+                         ReactorReplicaServer::start(replica, pool));
+  const std::uint16_t replica_port = replica_server->port();
   std::printf("replica node listening on 127.0.0.1:%u\n", replica_port);
 
   // --- storage node: PRINS engine inside an iSCSI target ------------------
@@ -97,9 +61,7 @@ Status run() {
   EngineConfig engine_config;
   engine_config.policy = ReplicationPolicy::kPrins;
   engine_config.read_from_replicas = true;  // maintain the conflict window
-  if (pool != nullptr) {
-    engine_config.reactor = pool->at(0).shared_from_this();
-  }
+  engine_config.reactor = pool->at(0).shared_from_this();
   auto engine = std::make_shared<PrinsEngine>(storage_disk, engine_config);
   PRINS_ASSIGN_OR_RETURN(auto replica_link, connect_loopback(replica_port));
   auto meter = std::make_unique<TrafficMeter>(std::move(replica_link));
@@ -116,19 +78,9 @@ Status run() {
   router->add_read_replica(std::move(read_link));
 
   auto target = std::make_shared<iscsi::IscsiTarget>(router);
-  std::unique_ptr<iscsi::ReactorIscsiServer> target_server;
-  std::shared_ptr<Listener> target_listener;
-  std::thread target_thread;
-  std::uint16_t target_port = 0;
-  if (pool != nullptr) {
-    PRINS_ASSIGN_OR_RETURN(target_server,
-                           iscsi::ReactorIscsiServer::start(target, pool));
-    target_port = target_server->port();
-  } else {
-    PRINS_ASSIGN_OR_RETURN(target_listener, listen_loopback(0));
-    target_port = listener_port(target_listener);
-    target_thread = iscsi::serve_in_background(target, target_listener);
-  }
+  PRINS_ASSIGN_OR_RETURN(auto target_server,
+                         iscsi::ReactorIscsiServer::start(target, pool));
+  const std::uint16_t target_port = target_server->port();
   std::printf("storage node (iSCSI target + PRINS engine) on 127.0.0.1:%u\n",
               target_port);
 
@@ -188,21 +140,11 @@ Status run() {
   // goes away first so that dropping our engine reference actually
   // destroys it and closes the WAN link, unblocking the replica.
   PRINS_RETURN_IF_ERROR(initiator->logout());
-  if (target_server != nullptr) {
-    target_server->stop();
-  } else {
-    target_listener->close();
-    target_thread.join();
-  }
+  target_server->stop();
   target.reset();
   router.reset();  // closes the read link, releases its engine reference
   engine.reset();  // last owner: closes the WAN link
-  if (replica_server != nullptr) {
-    replica_server->stop();
-  } else {
-    replica_listener->close();
-    replica_thread.join();
-  }
+  replica_server->stop();
 
   return mismatches == 0 ? Status::ok()
                          : internal_error("replica diverged");

@@ -1,7 +1,6 @@
 // ReactorIscsiServer: thread-free iSCSI serving on the reactor.
 //
-// serve_in_background() spends one blocking thread per initiator.  This
-// server instead registers each accepted connection's PDU stream via
+// The server registers each accepted connection's PDU stream via
 // ReactorTcp::set_message_handler and runs the target's frame state
 // machine (IscsiTarget::handle_frame — one PDU in, replies out, never
 // recv()s) on a small fixed worker pool: N initiators share

@@ -361,41 +361,4 @@ Status IscsiTarget::handle_data_out(Transport& transport, Session& session,
   return finish_write(transport, session, itt, lba, buffer);
 }
 
-std::thread serve_in_background(std::shared_ptr<IscsiTarget> target,
-                                std::shared_ptr<Listener> listener) {
-  return std::thread([target = std::move(target),
-                      listener = std::move(listener)] {
-    std::vector<std::thread> sessions;
-    int consecutive_failures = 0;
-    for (;;) {
-      auto conn = listener->accept();
-      if (!conn.is_ok()) {
-        // Closed listener = clean shutdown; other accept errors are
-        // transient — retry rather than abandoning every future initiator,
-        // but don't spin forever if accept() only ever fails.
-        if (conn.status().code() == ErrorCode::kUnavailable) break;
-        PRINS_LOG(kWarn) << "iSCSI accept: " << conn.status().to_string();
-        if (++consecutive_failures >= 64) {
-          PRINS_LOG(kError)
-              << "iSCSI accept failing persistently; stopping the loop";
-          break;
-        }
-        continue;
-      }
-      consecutive_failures = 0;
-      // One session thread per initiator: a slow or failed connection no
-      // longer wedges the accept loop behind it.
-      sessions.emplace_back(
-          [target, conn = std::shared_ptr<Transport>(std::move(*conn))] {
-            Status s = target->serve(*conn);
-            if (!s.is_ok()) {
-              PRINS_LOG(kWarn)
-                  << "iSCSI session ended with error: " << s.to_string();
-            }
-          });
-    }
-    for (std::thread& session : sessions) session.join();
-  });
-}
-
 }  // namespace prins::iscsi

@@ -25,7 +25,6 @@
 #include <atomic>
 #include <memory>
 #include <string>
-#include <thread>
 
 #include "block/block_device.h"
 #include "iscsi/pdu.h"
@@ -113,15 +112,5 @@ class IscsiTarget {
   TargetConfig config_;
   std::atomic<std::uint64_t> commands_{0};
 };
-
-/// Convenience: accept connections from `listener` on a background thread,
-/// serving each initiator on its own session thread (concurrently).
-/// Transient accept() errors are retried; the loop exits cleanly only when
-/// the listener closes (or accept() fails persistently).  Per-session
-/// errors are logged, never wedge the accept loop.  Returns the accept
-/// thread; join it after closing the listener — it joins every session
-/// thread first.
-std::thread serve_in_background(std::shared_ptr<IscsiTarget> target,
-                                std::shared_ptr<Listener> listener);
 
 }  // namespace prins::iscsi

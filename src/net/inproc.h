@@ -17,7 +17,10 @@
 namespace prins {
 
 /// Create a connected pair of transports.  Each end's send feeds the other
-/// end's recv.  `capacity` bounds each direction's queue (back-pressure).
+/// end's recv.  `capacity` bounds each direction's queue (back-pressure),
+/// except for sends made on the end's own loop.  Both ends are
+/// HandlerTransports: after set_loop(), a message handler installed on an
+/// end is dispatched that end's messages on the loop, in arrival order.
 std::pair<std::unique_ptr<Transport>, std::unique_ptr<Transport>>
 make_inproc_pair(std::size_t capacity = 1024);
 

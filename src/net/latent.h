@@ -1,5 +1,8 @@
 // Latent in-process transport pair: messages arrive `one_way_delay` after
-// they are sent, without blocking the sender.
+// they are sent, without blocking the sender.  The same pipe as
+// make_inproc_pair (net/inproc.h) with a delivery time: a handler installed
+// on an end is dispatched each message from a timer on the end's loop once
+// it is due, never earlier.
 //
 // Unlike ShapedTransport (which models *serialization* time by blocking
 // the sender), this models *propagation* latency: the sender streams

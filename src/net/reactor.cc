@@ -6,7 +6,6 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <cstdlib>
 #include <cstring>
 
 #include "common/env.h"
@@ -58,12 +57,16 @@ std::size_t TimerWheel::collect_due(Clock::time_point now,
   // Walk the wheel from the cursor up to the current tick.  The walk is
   // bounded by how long the wheel slept, which the reactor in turn bounds
   // by the earliest pending deadline; an empty wheel snaps the cursor.
+  // The current tick is only partly elapsed: its slot gives up the entries
+  // already due and the cursor stays on it, so a timer never fires early
+  // and one scheduled later in this tick still lands ahead of the cursor.
   std::vector<Entry> fired;
   while (cursor_ <= now_tick && !by_id_.empty()) {
+    const bool elapsed = cursor_ < now_tick;
     Slot& slot = slots_[cursor_ % slots_.size()];
     for (auto it = slot.begin(); it != slot.end();) {
-      if (it->rounds > 0) {
-        it->rounds -= 1;
+      if (it->rounds > 0 || (!elapsed && it->deadline > now)) {
+        if (elapsed) it->rounds -= 1;
         ++it;
         continue;
       }
@@ -72,9 +75,10 @@ std::size_t TimerWheel::collect_due(Clock::time_point now,
       fired.push_back(std::move(*it));
       it = slot.erase(it);
     }
+    if (!elapsed) break;
     ++cursor_;
   }
-  if (by_id_.empty()) cursor_ = std::max(cursor_, now_tick + 1);
+  if (by_id_.empty()) cursor_ = std::max(cursor_, now_tick);
   // Same-slot entries can be collected out of deadline order (sub-tick
   // spacing); deliver strictly ordered anyway — the due list per advance is
   // tiny, so the sort is noise.
@@ -140,17 +144,17 @@ void Reactor::wake() {
 }
 
 Status Reactor::add_fd(int fd, std::uint32_t events, FdCallback cb) {
-  {
-    std::lock_guard lock(mutex_);
-    handlers_[fd] = std::make_shared<FdCallback>(std::move(cb));
-  }
   epoll_event ev{};
   ev.events = events;
   ev.data.fd = fd;
+  // Register under the lock the loop takes to find the handler, so the
+  // registration happens-before whatever the handler does with the fd
+  // (closing it included), as the sanitizers see it too.
+  std::lock_guard lock(mutex_);
+  handlers_[fd] = std::make_shared<FdCallback>(std::move(cb));
   if (::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, fd, &ev) != 0) {
     Status s = io_error(std::string("epoll_ctl(add): ") +
                         std::strerror(errno));
-    std::lock_guard lock(mutex_);
     handlers_.erase(fd);
     return s;
   }
@@ -206,6 +210,36 @@ std::size_t Reactor::pending_timers() const {
   return wheel_.pending();
 }
 
+int Reactor::wait_events(epoll_event* events, int max_events,
+                         std::optional<Clock::duration> wait) {
+#if defined(__GLIBC__) && \
+    (__GLIBC__ > 2 || (__GLIBC__ == 2 && __GLIBC_MINOR__ >= 35))
+  // Nanosecond timeout: a timer fires at its deadline, not up to a whole
+  // millisecond late (a latent pipe's delivery time rides on this).
+  if (precise_wait_) {
+    timespec ts{};
+    if (wait) {
+      const auto ns =
+          std::chrono::duration_cast<std::chrono::nanoseconds>(*wait).count();
+      ts.tv_sec = static_cast<time_t>(ns / 1'000'000'000);
+      ts.tv_nsec = static_cast<long>(ns % 1'000'000'000);
+    }
+    const int n = ::epoll_pwait2(epoll_fd_, events, max_events,
+                                 wait ? &ts : nullptr, nullptr);
+    if (n >= 0 || errno != ENOSYS) return n;
+    precise_wait_ = false;  // pre-5.11 kernel: whole milliseconds below
+  }
+#endif
+  int timeout_ms = -1;
+  if (wait) {
+    // Round up so we never spin a whole tick early at 0ms.
+    const auto ms =
+        std::chrono::duration_cast<std::chrono::milliseconds>(*wait).count();
+    timeout_ms = wait->count() <= 0 ? 0 : static_cast<int>(ms) + 1;
+  }
+  return ::epoll_wait(epoll_fd_, events, max_events, timeout_ms);
+}
+
 void Reactor::run() {
   constexpr int kMaxEvents = 128;
   epoll_event events[kMaxEvents];
@@ -213,23 +247,18 @@ void Reactor::run() {
   for (;;) {
     // Sleep until the next timer deadline (or forever with none pending);
     // posted closures and new front timers nudge the eventfd.
-    int timeout_ms = -1;
+    std::optional<Clock::duration> wait;
     {
       std::lock_guard lock(mutex_);
       if (!posted_.empty()) {
-        timeout_ms = 0;
+        wait = Clock::duration::zero();
       } else if (const auto next = wheel_.next_deadline()) {
-        const auto wait = *next - Clock::now();
-        const auto ms =
-            std::chrono::duration_cast<std::chrono::milliseconds>(wait)
-                .count();
-        // Round up so we never spin a whole tick early at 0ms.
-        timeout_ms = wait.count() <= 0 ? 0 : static_cast<int>(ms) + 1;
+        wait = std::max(*next - Clock::now(), Clock::duration::zero());
       }
     }
     if (stopping_.load(std::memory_order_acquire)) return;
 
-    const int n = ::epoll_wait(epoll_fd_, events, kMaxEvents, timeout_ms);
+    const int n = wait_events(events, kMaxEvents, wait);
     if (n < 0 && errno != EINTR) {
       PRINS_LOG(kError) << "reactor epoll_wait: " << std::strerror(errno);
       return;
@@ -279,13 +308,6 @@ Result<std::shared_ptr<ReactorPool>> ReactorPool::create(std::size_t threads) {
     reactors.push_back(std::move(r));
   }
   return std::shared_ptr<ReactorPool>(new ReactorPool(std::move(reactors)));
-}
-
-bool reactor_enabled_from_env() {
-  const char* env = std::getenv("PRINS_REACTOR");
-  if (env == nullptr) return false;
-  const std::string v(env);
-  return v == "1" || v == "on" || v == "true" || v == "yes";
 }
 
 std::size_t reactor_threads_from_env() {

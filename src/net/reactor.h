@@ -1,20 +1,22 @@
 // Reactor: an epoll event loop with a hashed timer wheel and an eventfd
-// wakeup, the event-driven substrate under ReactorTcpTransport.
+// wakeup, the event-driven substrate under every HandlerTransport.
 //
-// One reactor thread multiplexes any number of nonblocking sockets where
-// the blocking transports cost two dedicated threads per link.  The loop
-// sleeps in epoll_wait until a registered fd becomes ready, a timer on the
-// wheel comes due, or another thread posts a closure; fd callbacks, timer
+// One reactor thread multiplexes any number of nonblocking sockets and
+// in-process pipes, with no thread per link.  The loop sleeps in
+// epoll_wait until a registered fd becomes ready, a timer on the wheel
+// comes due, or another thread posts a closure; fd callbacks, timer
 // callbacks, and posted closures all run on the loop thread, so
 // per-connection state machines need no locking of their own.
 //
 // The TimerWheel is the deadline substrate: every replica link's reply
-// timeout and retry backoff is a wheel entry (see RetryPolicy).  A
+// timeout and retry backoff is a wheel entry (see RetryPolicy), as is a
+// latent in-process message's delivery time.  A
 // blocking ReactorTcpTransport::recv_for needs none: its caller reads the
 // socket itself, with the deadline as the poll() timeout.  It is a classic
 // hashed wheel — O(1) schedule and cancel, slots of `tick` granularity,
 // entries beyond the horizon carry a round count — driven by advance()
-// from the loop.
+// from the loop.  No entry fires before its deadline, and the loop sleeps
+// to the next one with nanosecond precision where the kernel allows.
 //
 // A ReactorPool shards connections across N single-threaded reactors
 // (round-robin) for multi-core scaling; each connection lives on exactly
@@ -36,6 +38,8 @@
 #include <vector>
 
 #include "common/status.h"
+
+struct epoll_event;
 
 namespace prins {
 
@@ -87,7 +91,7 @@ class TimerWheel {
 
   Clock::duration tick_;
   Clock::time_point origin_;
-  std::uint64_t cursor_;  // next tick collect_due() will examine
+  std::uint64_t cursor_;  // first tick collect_due() has not fully drained
   std::vector<Slot> slots_;
   std::unordered_map<TimerId, Slot::iterator> by_id_;
   std::multiset<Clock::time_point> deadlines_;  // for next_deadline()
@@ -144,9 +148,13 @@ class Reactor : public std::enable_shared_from_this<Reactor> {
   Reactor(int epoll_fd, int wake_fd);
   void run();
   void wake();
+  /// epoll_wait until an event or for `wait` (nullopt: no timeout).
+  int wait_events(epoll_event* events, int max_events,
+                  std::optional<Clock::duration> wait);
 
   int epoll_fd_;
   int wake_fd_;  // eventfd: other threads nudge epoll_wait
+  bool precise_wait_ = true;  // loop thread only: epoll_pwait2 available
   std::atomic<bool> stopping_{false};
 
   mutable std::mutex mutex_;  // guards wheel_, posted_, handlers_
@@ -181,11 +189,6 @@ class ReactorPool {
   std::vector<std::shared_ptr<Reactor>> reactors_;
   std::atomic<std::size_t> next_{0};
 };
-
-/// PRINS_REACTOR=1|on|true selects the reactor transport in the examples,
-/// tools, and benches that honor it (the library itself takes explicit
-/// constructor arguments).
-bool reactor_enabled_from_env();
 
 /// PRINS_REACTOR_THREADS (clamped to [1, 64]); 1 when unset.
 std::size_t reactor_threads_from_env();

@@ -21,7 +21,6 @@
 
 #include "common/endian.h"
 #include "common/logging.h"
-#include "net/tcp.h"  // kMaxTcpMessageBytes: the shared frame limit
 
 namespace prins {
 namespace {
@@ -390,8 +389,8 @@ struct ReactorTcpTransport::Conn : std::enable_shared_from_this<Conn> {
   /// Send one framed message of at most kMaxSendParts parts; blocks
   /// off-loop callers on flow control.  With the outbox empty the length
   /// prefix and the caller's parts go straight to the socket in one
-  /// writev, as TcpTransport::send_vec does; only what the kernel did not
-  /// take is copied, into an owned frame the loop finishes on EPOLLOUT.
+  /// writev; only what the kernel did not take is copied, into an owned
+  /// frame the loop finishes on EPOLLOUT.
   /// With frames already queued the whole message queues behind them, so
   /// frame order holds either way.
   Status enqueue(std::span<const ByteSpan> parts) {
@@ -510,8 +509,8 @@ Result<std::unique_ptr<Transport>> ReactorTcpTransport::connect(
     ::close(fd);
     return invalid_argument("bad IPv4 address: " + host);
   }
-  // Blocking connect (same semantics as TcpTransport::connect), then the
-  // established socket goes nonblocking onto the loop.
+  // Blocking connect, then the established socket goes nonblocking onto
+  // the loop.
   int rc;
   do {
     rc = ::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr);

@@ -1,37 +1,35 @@
-// ReactorTcpTransport / ReactorListener: nonblocking sockets multiplexed on
-// a Reactor, behind the blocking Transport API.
+// ReactorTcpTransport / ReactorListener: real sockets for cross-process
+// deployments, nonblocking and multiplexed on a Reactor.
 //
-// Where TcpTransport parks a kernel thread in recv() per link, every
-// reactor connection is a small state machine driven by epoll readiness:
+// Wire format: each message is a 4-byte little-endian length prefix
+// followed by the payload.  Every connection is a small state machine
+// driven by epoll readiness, with no thread of its own:
 //
-//   read side   incremental frame reassembly (4-byte length prefix, then
-//               payload) across however many readiness events it takes;
-//               completed messages land in a bounded inbox
+//   read side   incremental frame reassembly (length prefix, then payload)
+//               across however many readiness events it takes; completed
+//               messages land in a bounded inbox
 //   write side  with the outbox empty, send()/send_vec() writev the length
 //               prefix and the caller's parts straight to the socket (no
-//               copy, as TcpTransport does); only an unsent tail is copied
-//               into an owned frame, which the loop resumes on EPOLLOUT via
-//               writev across the queued frames.  A send behind queued
-//               frames queues whole, so frame order holds
+//               copy); only an unsent tail is copied into an owned frame,
+//               which the loop resumes on EPOLLOUT via writev across the
+//               queued frames.  A send behind queued frames queues whole,
+//               so frame order holds
 //
-// The blocking Transport API is a compatibility shim over that machine:
-// recv()/recv_for() pop the inbox and, when it is empty, read the socket
-// from the calling thread the way TcpTransport does — the first blocked
-// receiver takes the read side over from the loop (EPOLLIN off), poll()s
-// with the deadline as its timeout, runs the same frame machine, and hands
-// the socket back.  No loop-thread wake sits between a reply and its
-// receiver.  send() blocks only when the outbox is over its byte limit
-// (flow control).  PrinsEngine, ReplicaEngine, the iSCSI target, and the
-// faulty/latent/shaped decorators run unmodified on top.
+// The blocking Transport API runs on that machine: recv()/recv_for() pop
+// the inbox and, when it is empty, read the socket from the calling thread
+// — the first blocked receiver takes the read side over from the loop
+// (EPOLLIN off), poll()s with the deadline as its timeout, runs the same
+// frame machine, and hands the socket back.  No loop-thread wake sits
+// between a reply and its receiver.  send() blocks an off-loop caller only
+// when the outbox is over its byte limit (flow control); a send from the
+// loop thread never blocks.  PrinsEngine, ReplicaEngine, the iSCSI target,
+// and the faulty/metered/shaped decorators run unmodified on top.
 //
-// Server fan-in can skip the shim: set_message_handler() delivers each
-// completed message on the loop thread instead of the inbox, so one
+// Server fan-in uses the handler contract: set_message_handler() delivers
+// each completed message on the loop thread instead of the inbox, so one
 // reactor thread can serve hundreds of connections with no thread per
 // link (backpressure pauses reading while the outbox is over its limit).
-// Handlers must not block; send() from a handler never blocks.
-//
-// Wire format and frame limit are identical to TcpTransport — the two ends
-// of a connection may freely mix blocking and reactor transports.
+// Handlers must not block.
 #pragma once
 
 #include <cstdint>
@@ -41,6 +39,10 @@
 #include "net/transport.h"
 
 namespace prins {
+
+/// Hard cap on a single framed message (64 MiB) — guards against a corrupt
+/// or hostile length prefix allocating unbounded memory.
+constexpr std::uint32_t kMaxTcpMessageBytes = 64u << 20;
 
 struct ReactorTcpOptions {
   /// Completed messages the inbox buffers before the connection stops

@@ -8,6 +8,10 @@
 // `bandwidth_scale` speeds up the emulated line (delays divide by it) so
 // experiments finish quickly while preserving the traditional/PRINS
 // delay *ratios* exactly.
+//
+// The delay is a sleep in send(), on the sending thread: as an engine's
+// replica link it delays the engine's loop, and with it every link that
+// loop serves.  Use it on a one-link engine (as bench/fig8_empirical does).
 #pragma once
 
 #include <chrono>

@@ -75,17 +75,18 @@ class TrafficMeter final : public Transport {
   std::string describe() const override {
     return "metered(" + inner_->describe() + ")";
   }
-  /// Sees through the meter, so a metered reactor link still runs
-  /// handler-driven (ReactorReplicaServer, the engine's reactor senders).
+  /// Sees through the meter, so a metered link still runs handler-driven
+  /// (ReactorReplicaServer, the engine's senders).
   Transport* underlying() override { return inner_->underlying(); }
 
   TrafficStats sent() const {
     std::lock_guard lock(mutex_);
     return sent_;
   }
-  /// Messages taken through recv()/recv_for().  Frames a handler-driven
-  /// reactor link delivers by callback bypass the meter and are not
-  /// counted; the figures callers report come from sent().
+  /// Messages taken through recv()/recv_for() only.  Every link delivers
+  /// an engine's replies by handler, which bypasses the meter, so no
+  /// replica link counts them here.  Only tests read it; the figures
+  /// callers report come from sent().
   TrafficStats received() const {
     std::lock_guard lock(mutex_);
     return received_;

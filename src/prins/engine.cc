@@ -8,7 +8,6 @@
 #include "common/crc32c.h"
 #include "common/env.h"
 #include "common/logging.h"
-#include "net/recv_pump.h"
 #include "parity/xor.h"
 #include "prins/verify.h"
 
@@ -39,16 +38,29 @@ std::size_t frame_capacity_for(std::size_t block_size) {
   return block_size + block_size / 8 + 64;
 }
 
+/// Bind a link entering the engine to the engine's loop.  Fails when a
+/// decorator hides the link's HandlerTransport (does not forward
+/// underlying()): the sender could not install its handlers on it.
+Status bind_to_loop(Transport& link, const std::shared_ptr<Reactor>& loop) {
+  auto* events = dynamic_cast<HandlerTransport*>(link.underlying());
+  if (events == nullptr) {
+    return invalid_argument("replica link " + link.describe() +
+                            " hides its HandlerTransport (a decorator must "
+                            "forward underlying())");
+  }
+  events->set_loop(loop);
+  return Status::ok();
+}
+
 }  // namespace
 
 PrinsEngine::PrinsEngine(std::shared_ptr<BlockDevice> local,
                          EngineConfig config)
     : local_(std::move(local)),
       config_(config),
-      block_pool_(local_->block_size(),
-                  config_.pool_buffers ? config_.pool_max_free : 0),
+      block_pool_(local_->block_size(), config_.pool_max_free),
       frame_pool_(frame_capacity_for(local_->block_size()),
-                  config_.pool_buffers ? config_.pool_max_free : 0) {
+                  config_.pool_max_free) {
   assert(local_ != nullptr);
   assert(!config_.use_raid_tap &&
          "use the RaidArray constructor for tap mode");
@@ -60,10 +72,9 @@ PrinsEngine::PrinsEngine(std::shared_ptr<RaidArray> local_raid,
     : local_(local_raid),
       raid_(local_raid.get()),
       config_(config),
-      block_pool_(local_->block_size(),
-                  config_.pool_buffers ? config_.pool_max_free : 0),
+      block_pool_(local_->block_size(), config_.pool_max_free),
       frame_pool_(frame_capacity_for(local_->block_size()),
-                  config_.pool_buffers ? config_.pool_max_free : 0) {
+                  config_.pool_max_free) {
   assert(local_ != nullptr);
   config_.use_raid_tap = true;
   init_shards();
@@ -79,10 +90,9 @@ PrinsEngine::PrinsEngine(std::shared_ptr<Raid6Array> local_raid6,
     : local_(local_raid6),
       raid6_(local_raid6.get()),
       config_(config),
-      block_pool_(local_->block_size(),
-                  config_.pool_buffers ? config_.pool_max_free : 0),
+      block_pool_(local_->block_size(), config_.pool_max_free),
       frame_pool_(frame_capacity_for(local_->block_size()),
-                  config_.pool_buffers ? config_.pool_max_free : 0) {
+                  config_.pool_max_free) {
   assert(local_ != nullptr);
   config_.use_raid_tap = true;
   init_shards();
@@ -158,8 +168,12 @@ PrinsEngine::~PrinsEngine() {
 
 void PrinsEngine::add_replica(std::unique_ptr<Transport> link) {
   assert(link != nullptr);
+  if (Status s = bind_to_loop(*link, config_.reactor); !s.is_ok()) {
+    PRINS_LOG(kError) << "add_replica: " << s.to_string();
+    std::abort();
+  }
   auto replica = std::make_unique<ReplicaLink>();
-  replica->transport = with_message_handlers(std::move(link), config_.reactor);
+  replica->transport = std::move(link);
   ReplicaLink* raw = replica.get();
   {
     std::lock_guard lock(mutex_);
@@ -180,7 +194,7 @@ std::size_t PrinsEngine::replica_count() const {
 Status PrinsEngine::reattach_replica(std::size_t index,
                                      std::unique_ptr<Transport> link) {
   if (link == nullptr) return invalid_argument("null transport");
-  link = with_message_handlers(std::move(link), config_.reactor);
+  PRINS_RETURN_IF_ERROR(bind_to_loop(*link, config_.reactor));
   ReplicaLink* replica = nullptr;
   {
     std::lock_guard lock(mutex_);
@@ -890,9 +904,11 @@ void PrinsEngine::attempt_heal(ReplicaLink* link) {
   // 1. Fresh connection.
   auto fresh = config_.reconnect(link->index);
   if (!fresh.is_ok()) return heal_failed(link, fresh.status());
+  if (Status s = bind_to_loop(**fresh, config_.reactor); !s.is_ok()) {
+    return heal_failed(link, s);
+  }
   link->transport->close();
-  link->transport =
-      with_message_handlers(std::move(*fresh), config_.reactor);
+  link->transport = std::move(*fresh);
   {
     std::lock_guard lock(mutex_);
     metrics_.reconnects += 1;
@@ -969,14 +985,15 @@ void PrinsEngine::attempt_heal(ReplicaLink* link) {
 // closure) pops a window and transmits it, on_link_reply() (the transport's
 // message handler) collects the replies, and the wheel timer plays the
 // per-round op_timeout and the retry backoff.  A ReactorTcpTransport runs
-// the handlers on its own loop; every other transport was wrapped in a
-// RecvPump whose reader hands replies to the engine's loop.  Lock order
+// the handlers on its own loop, an in-process end on the engine's (bound
+// where the link entered).  Lock order
 // everywhere: sender guard, then link mutex, then engine mutex_, with the
 // guard outermost so teardown can fence callbacks.
 
 void PrinsEngine::install_link_handlers(ReplicaLink* link) {
   // underlying() sees through decorators (FaultyTransport et al.), so a
-  // fault-injected reactor link still runs on its own loop.
+  // fault-injected link still delivers by handler; bind_to_loop checked
+  // the cast where the link entered.
   auto* events =
       static_cast<HandlerTransport*>(link->transport->underlying());
   auto guard = sender_guard_;
@@ -1102,9 +1119,10 @@ void PrinsEngine::pump_link(ReplicaLink* link) {
 }
 
 void PrinsEngine::transmit_round(ReplicaLink* link) {
-  // Neither kind of link blocks the loop here: a ReactorTcpTransport
-  // enqueues into its outbox, and a RecvPump into the queue its writer
-  // thread sends from.
+  // An in-process end never waits on capacity from the loop it is bound
+  // to (the window bounds what a round sends), and a ReactorTcpTransport
+  // queues into its outbox, blocking an off-loop sender only past the
+  // outbox's byte limit.
   std::size_t sent = 0;
   for (std::size_t i = 0; i < link->round.size(); ++i) {
     if (link->round_acked[i]) continue;
@@ -1243,8 +1261,8 @@ void PrinsEngine::on_link_closed(ReplicaLink* link, const Status& why) {
     std::lock_guard lock(mutex_);
     if (stopping_.load(std::memory_order_relaxed) || link->failed) return;
     // Nothing in flight (idle, or an operator exchange owns the link): the
-    // next send fails on the dead connection (both ReactorTcpTransport and
-    // RecvPump refuse sends once closed) and fails the round it opens.
+    // next send fails on the dead connection (every transport refuses
+    // sends once closed) and fails the round it opens.
     if (link->round.empty()) return;
   }
   fail_round(link,

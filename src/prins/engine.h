@@ -13,11 +13,10 @@
 //      pumped by post(), acked by message-handler callbacks, and timed by
 //      the reactor's timer wheel, so a slow or high-latency replica never
 //      holds up the others' acks.  Each round streams up to
-//      `pipeline_depth` messages before collecting ACKs.  A
-//      ReactorTcpTransport link delivers its replies on its own loop; any
-//      other transport is wrapped in a RecvPump (net/recv_pump.h): a
-//      reader thread hands replies to the same callbacks and a writer
-//      thread takes the sends, so no send blocks the shared loop.
+//      `pipeline_depth` messages before collecting ACKs.  Every link is a
+//      HandlerTransport: a ReactorTcpTransport delivers its replies on its
+//      own loop, an in-process end on the engine's, and neither runs a
+//      thread per link.
 //
 // Optionally (`coalesce_writes`) back-to-back deltas to the same LBA that
 // are still waiting in an outbox are XOR-folded into a single message: the
@@ -101,9 +100,8 @@ struct EngineConfig {
   /// 1 is stop-and-wait (the paper's conservative closed-network
   /// assumption); larger windows amortize the link round-trip over WAN
   /// latencies.  Replicas apply in order either way.  Any window works on
-  /// any transport: sends never block the loop, and replies are read off
-  /// the link while a round is still being sent (by the reactor loop, or a
-  /// RecvPump's reader thread).
+  /// any transport: a send from the loop never waits on capacity, and
+  /// replies arrive by handler while a round is still being sent.
   std::size_t pipeline_depth = 1;
   /// XOR-fold queued same-LBA deltas in each replica outbox into one
   /// message (lossless; see header comment).  Off by default: folding
@@ -132,7 +130,8 @@ struct EngineConfig {
   /// the outage window, resyncs the replica, and unfreezes the journal
   /// watermark.  Null (default), or without keep_trap_log: a link failure
   /// is sticky, resolved by the operator (reattach_replica +
-  /// resync_replica).
+  /// resync_replica).  A reconnect whose transport hides its
+  /// HandlerTransport fails that heal attempt.
   TransportFactory reconnect;
   /// The loop that runs every link's sender: pumps are post()ed onto it,
   /// replies arrive as message-handler callbacks, and op_timeout and retry
@@ -151,12 +150,11 @@ struct EngineConfig {
   /// up to a power of two, clamped to [1, 64].  1 reproduces the old
   /// global-write-lock behavior.
   std::size_t write_shards = 0;
-  /// Serve hot-path scratch buffers (old block, delta, codec frame,
-  /// coalesce copy) from a freelist instead of the heap; steady-state
-  /// writes then allocate nothing.  Off is only interesting for baseline
-  /// benchmarking.
-  bool pool_buffers = true;
-  /// Freelist bound per pool; releases beyond it free their buffer.
+  /// Hot-path scratch buffers (old block, delta, codec frame, coalesce
+  /// copy) come from a freelist instead of the heap, so steady-state
+  /// writes allocate nothing.  Freelist bound per pool; releases beyond it
+  /// free their buffer, and 0 degenerates to plain heap traffic (the
+  /// baseline benchmarks' setting).
   std::size_t pool_max_free = 128;
   /// Fencing epoch stamped into every outgoing wire message.  Replicas
   /// reject frames from an older epoch with NakReason::kStaleEpoch, which
@@ -229,11 +227,13 @@ class PrinsEngine final : public BlockDevice {
   PrinsEngine(const PrinsEngine&) = delete;
   PrinsEngine& operator=(const PrinsEngine&) = delete;
 
-  /// Attach a replica link and arm its event-driven sender (a transport
-  /// that is not a ReactorTcpTransport, even under decorators, gets a
-  /// RecvPump reader and writer thread).  The engine owns the transport
-  /// and will close it on destruction.  Add replicas before the first
-  /// write.
+  /// Attach a replica link and arm its event-driven sender; an in-process
+  /// link is bound to the engine's loop, and no link starts a thread.  The
+  /// link must deliver through a HandlerTransport, seen through its
+  /// decorators via underlying(): one that hides it is a programming
+  /// error, logged before the process aborts.  The engine owns the
+  /// transport and will close it on destruction.  Add replicas before the
+  /// first write.
   void add_replica(std::unique_ptr<Transport> link);
 
   /// Number of attached replica links.
@@ -243,6 +243,8 @@ class PrinsEngine final : public BlockDevice {
   /// clear the engine's sticky replication error so new writes flow again.
   /// The replica may have missed writes: follow with verify_and_repair()
   /// to resynchronize it (the rsync-style recovery path).
+  /// kInvalidArgument when `link` hides its HandlerTransport (a decorator
+  /// that does not forward underlying()).
   Status reattach_replica(std::size_t index, std::unique_ptr<Transport> link);
 
   std::uint32_t block_size() const override { return local_->block_size(); }
@@ -426,8 +428,8 @@ class PrinsEngine final : public BlockDevice {
   };
 
   struct ReplicaLink {
-    /// Delivers through a HandlerTransport (a ReactorTcpTransport under
-    /// its decorators, or a RecvPump).
+    /// Delivers through a HandlerTransport (under any decorators), bound
+    /// to its loop where the link entered.
     std::unique_ptr<Transport> transport;
     std::mutex mutex;  // serializes exchanges on this link
     // Logical timestamp of the newest write this replica has acked;
@@ -744,8 +746,8 @@ class PrinsEngine final : public BlockDevice {
   std::size_t shard_mask_ = 0;  // shards_.size() - 1; size is a power of 2
 
   // Hot-path scratch pools: block-sized buffers (old block, delta,
-  // coalesce copy) and codec output frames.  max_free=0 when
-  // config.pool_buffers is off, which degenerates to plain heap traffic.
+  // coalesce copy) and codec output frames.  config.pool_max_free = 0
+  // degenerates to plain heap traffic.
   mutable BufferPool block_pool_;
   mutable BufferPool frame_pool_;
 

@@ -9,7 +9,6 @@
 #include "block/faulty_disk.h"
 #include "block/file_disk.h"
 #include "block/mem_disk.h"
-#include "block/snapshot_disk.h"
 #include "block/stats_disk.h"
 #include "common/rng.h"
 
@@ -287,58 +286,6 @@ TEST(StatsDiskTest, FailedOpsNotCounted) {
   Bytes block(512);
   EXPECT_FALSE(disk.read(100, block).is_ok());
   EXPECT_EQ(disk.counters().reads, 0u);
-}
-
-// ---- SnapshotDisk ----------------------------------------------------------------
-
-TEST(SnapshotDiskTest, ReadOriginalSeesPreSnapshotContents) {
-  auto inner = std::make_shared<MemDisk>(8, 256);
-  const Bytes v0 = random_block(7, 256);
-  ASSERT_TRUE(inner->write(3, v0).is_ok());
-
-  SnapshotDisk snap(inner);
-  const Bytes v1 = random_block(8, 256);
-  ASSERT_TRUE(snap.write(3, v1).is_ok());
-
-  Bytes now(256), then(256);
-  ASSERT_TRUE(snap.read(3, now).is_ok());
-  ASSERT_TRUE(snap.read_original(3, then).is_ok());
-  EXPECT_EQ(now, v1);
-  EXPECT_EQ(then, v0);
-  EXPECT_EQ(snap.dirty_blocks(), 1u);
-}
-
-TEST(SnapshotDiskTest, RollbackRestoresEverything) {
-  auto inner = std::make_shared<MemDisk>(8, 256);
-  Bytes originals[8];
-  for (Lba i = 0; i < 8; ++i) {
-    originals[i] = random_block(100 + i, 256);
-    ASSERT_TRUE(inner->write(i, originals[i]).is_ok());
-  }
-  SnapshotDisk snap(inner);
-  for (Lba i = 0; i < 8; i += 2) {
-    ASSERT_TRUE(snap.write(i, random_block(200 + i, 256)).is_ok());
-  }
-  EXPECT_EQ(snap.dirty_blocks(), 4u);
-  ASSERT_TRUE(snap.rollback().is_ok());
-  EXPECT_EQ(snap.dirty_blocks(), 0u);
-  Bytes out(256);
-  for (Lba i = 0; i < 8; ++i) {
-    ASSERT_TRUE(inner->read(i, out).is_ok());
-    EXPECT_EQ(out, originals[i]) << "block " << i;
-  }
-}
-
-TEST(SnapshotDiskTest, UndoKeepsFirstVersionOnly) {
-  auto inner = std::make_shared<MemDisk>(4, 256);
-  const Bytes v0 = random_block(9, 256);
-  ASSERT_TRUE(inner->write(0, v0).is_ok());
-  SnapshotDisk snap(inner);
-  ASSERT_TRUE(snap.write(0, random_block(10, 256)).is_ok());
-  ASSERT_TRUE(snap.write(0, random_block(11, 256)).is_ok());
-  Bytes then(256);
-  ASSERT_TRUE(snap.read_original(0, then).is_ok());
-  EXPECT_EQ(then, v0);
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 // semantics, multi-replica fan-out, and failure handling.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <condition_variable>
 #include <functional>
 #include <future>
@@ -15,7 +16,8 @@
 #include "codec/codec.h"
 #include "common/rng.h"
 #include "net/inproc.h"
-#include "net/tcp.h"
+#include "net/faulty.h"
+#include "net/reactor_tcp.h"
 #include "net/traffic_meter.h"
 #include "prins/engine.h"
 #include "prins/replica.h"
@@ -579,9 +581,10 @@ TEST(EngineTest, PipelinedReplicationStaysConsistent) {
 
 TEST(EngineTest, WindowWiderThanTheTransportBuffersDoesNotWedge) {
   // A window of 16 over a pair that buffers one message per direction.
-  // The link's RecvPump writer waits on flow control while its reader
-  // keeps taking replies off the return channel, so the replica keeps
-  // reading and every send completes.
+  // The engine's sends come from the loop the link is bound to, so they
+  // never wait on the pipe's capacity, and replies reach the handler while
+  // a round is still going out: the replica keeps reading and every send
+  // completes.
   auto primary = std::make_shared<MemDisk>(kBlocks, kBs);
   EngineConfig config;
   config.policy = ReplicationPolicy::kPrins;
@@ -716,52 +719,10 @@ TEST(EngineTest, VerifySkipsAStaleAckAheadOfItsReply) {
   replica.join();
 }
 
-/// A link whose sends park until release() or close(): a replica that has
-/// stopped reading, as the sender sees it.
-class ParkedTransport final : public Transport {
- public:
-  explicit ParkedTransport(std::unique_ptr<Transport> inner)
-      : inner_(std::move(inner)) {}
-
-  void release() {
-    std::lock_guard lock(mutex_);
-    released_ = true;
-    cv_.notify_all();
-  }
-
-  Status send(ByteSpan message) override {
-    {
-      std::unique_lock lock(mutex_);
-      cv_.wait(lock, [&] { return released_ || closed_; });
-      if (closed_) return unavailable("parked link closed");
-    }
-    return inner_->send(message);
-  }
-  Result<Bytes> recv() override { return inner_->recv(); }
-  Result<Bytes> recv_for(std::chrono::milliseconds timeout) override {
-    return inner_->recv_for(timeout);
-  }
-  void close() override {
-    {
-      std::lock_guard lock(mutex_);
-      closed_ = true;
-      cv_.notify_all();
-    }
-    inner_->close();
-  }
-  std::string describe() const override { return "parked"; }
-
- private:
-  std::unique_ptr<Transport> inner_;
-  std::mutex mutex_;
-  std::condition_variable cv_;
-  bool released_ = false;
-  bool closed_ = false;
-};
-
 TEST(EngineTest, StalledReplicaDoesNotHoldUpAnotherReplicasAcks) {
-  // Replica 1 takes nothing off its link.  The engine's sends to it must
-  // not block the loop that also carries replica 0's pumps and acks.
+  // Replica 1 takes nothing off a link that buffers one message.  The
+  // engine's window of 8 to it must go out without waiting on capacity:
+  // the loop that sends it also carries replica 0's pumps and acks.
   auto primary = std::make_shared<MemDisk>(kBlocks, kBs);
   EngineConfig config;
   config.policy = ReplicationPolicy::kPrins;
@@ -776,10 +737,8 @@ TEST(EngineTest, StalledReplicaDoesNotHoldUpAnotherReplicasAcks) {
       [r = replica, t = std::shared_ptr<Transport>(std::move(replica_end))] {
         (void)r->serve(*t);
       });
-  auto [stalled_end, unread_end] = make_inproc_pair();
-  auto parked = std::make_unique<ParkedTransport>(std::move(stalled_end));
-  ParkedTransport* gate = parked.get();
-  engine->add_replica(std::move(parked));
+  auto [stalled_end, unread_end] = make_inproc_pair(/*capacity=*/1);
+  engine->add_replica(std::move(stalled_end));
 
   constexpr Lba kWrites = 16;
   for (Lba lba = 0; lba < kWrites; ++lba) {
@@ -802,16 +761,18 @@ TEST(EngineTest, StalledReplicaDoesNotHoldUpAnotherReplicasAcks) {
   }
   EXPECT_TRUE(replica_caught_up());
 
-  gate->release();
+  unread_end->close();  // the stalled replica goes away: teardown is prompt
   engine.reset();
   server.join();
 }
 
 TEST(EngineTest, IdleTcpLinkWhosePeerClosedFailsTheNextWrite) {
-  // A plain TCP link (no op_timeout, no self-heal) whose replica goes away
+  // A TCP link (no op_timeout, no self-heal) whose replica goes away
   // between writes.  Its close is seen while no round is open; the next
   // write must still fail, not wait forever for a reply that cannot come.
-  auto listener = TcpListener::listen(0);
+  auto pool = ReactorPool::create(1);
+  ASSERT_TRUE(pool.is_ok()) << pool.status().to_string();
+  auto listener = ReactorListener::listen(*pool, 0);
   ASSERT_TRUE(listener.is_ok()) << listener.status().to_string();
   auto replica_disk = std::make_shared<MemDisk>(kBlocks, kBs);
   auto replica = std::make_shared<ReplicaEngine>(replica_disk);
@@ -824,7 +785,8 @@ TEST(EngineTest, IdleTcpLinkWhosePeerClosedFailsTheNextWrite) {
     accepted.set_value();
     (void)replica->serve(*served);
   });
-  auto link = TcpTransport::connect("127.0.0.1", (*listener)->port());
+  auto link = ReactorTcpTransport::connect((*pool)->at(0).shared_from_this(),
+                                           "127.0.0.1", (*listener)->port());
   ASSERT_TRUE(link.is_ok()) << link.status().to_string();
   accepted.get_future().wait();
 
@@ -846,6 +808,116 @@ TEST(EngineTest, IdleTcpLinkWhosePeerClosedFailsTheNextWrite) {
             std::future_status::ready)
       << "drain() hung on a dead link";
   EXPECT_FALSE(drained.get().is_ok());
+}
+
+/// A decorator that forgets to forward underlying(): the HandlerTransport
+/// behind it is out of the engine's reach.  Counts what was sent through.
+class OpaqueTransport final : public Transport {
+ public:
+  OpaqueTransport(std::unique_ptr<Transport> inner,
+                  std::shared_ptr<std::atomic<int>> sends)
+      : inner_(std::move(inner)), sends_(std::move(sends)) {}
+
+  Status send(ByteSpan message) override {
+    ++*sends_;
+    return inner_->send(message);
+  }
+  Result<Bytes> recv() override { return inner_->recv(); }
+  Result<Bytes> recv_for(std::chrono::milliseconds timeout) override {
+    return inner_->recv_for(timeout);
+  }
+  void close() override { inner_->close(); }
+  std::string describe() const override { return "opaque"; }
+
+ private:
+  std::unique_ptr<Transport> inner_;
+  std::shared_ptr<std::atomic<int>> sends_;
+};
+
+void add_opaque_replica() {
+  auto primary = std::make_shared<MemDisk>(kBlocks, kBs);
+  PrinsEngine engine(primary, EngineConfig{});
+  auto [primary_end, replica_end] = make_inproc_pair();
+  engine.add_replica(std::make_unique<OpaqueTransport>(
+      std::move(primary_end), std::make_shared<std::atomic<int>>(0)));
+}
+
+TEST(EngineDeathTest, AddReplicaAbortsOnALinkThatHidesItsHandlers) {
+  // The engine runs a loop thread: re-execute rather than fork it.
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_DEATH(add_opaque_replica(), "hides its HandlerTransport");
+}
+
+TEST(EngineTest, ReattachRefusesALinkThatHidesItsHandlers) {
+  Rig rig(ReplicationPolicy::kPrins);
+  auto [primary_end, replica_end] = make_inproc_pair();
+  auto sends = std::make_shared<std::atomic<int>>(0);
+  const Status refused = rig.engine->reattach_replica(
+      0, std::make_unique<OpaqueTransport>(std::move(primary_end), sends));
+  EXPECT_EQ(refused.code(), ErrorCode::kInvalidArgument)
+      << refused.to_string();
+  // The old link stays in place and keeps replicating.
+  ASSERT_TRUE(rig.engine->write(4, random_block(1400)).is_ok());
+  ASSERT_TRUE(rig.engine->drain().is_ok());
+  EXPECT_TRUE(rig.devices_match());
+  EXPECT_EQ(sends->load(), 0);
+}
+
+TEST(EngineTest, HealFailsAnAttemptWhoseLinkHidesItsHandlers) {
+  // The first two reconnects come back wrapped in a decorator that hides
+  // the pipe's handlers: each fails its heal attempt without a byte sent
+  // through it, and the third, plain reconnect heals the link.
+  InprocNetwork network;
+  auto replica_disk = std::make_shared<MemDisk>(kBlocks, kBs);
+  auto replica = std::make_shared<ReplicaEngine>(replica_disk);
+  auto listener_or = network.listen("replica");
+  ASSERT_TRUE(listener_or.is_ok());
+  auto listener = std::shared_ptr<Listener>(std::move(*listener_or));
+  std::thread server = replica_serve_in_background(replica, listener);
+
+  auto calls = std::make_shared<std::atomic<int>>(0);
+  auto opaque_sends = std::make_shared<std::atomic<int>>(0);
+  EngineConfig config;
+  config.policy = ReplicationPolicy::kPrins;
+  config.keep_trap_log = true;
+  config.retry.max_attempts = 2;
+  config.retry.base_backoff = std::chrono::milliseconds(1);
+  config.retry.max_backoff = std::chrono::milliseconds(5);
+  config.retry.op_timeout = std::chrono::milliseconds(500);
+  config.reconnect = [&network, calls, opaque_sends](
+                         std::size_t) -> Result<std::unique_ptr<Transport>> {
+    auto fresh = network.connect("replica");
+    if (!fresh.is_ok() || calls->fetch_add(1) >= 2) return fresh;
+    return std::unique_ptr<Transport>(
+        std::make_unique<OpaqueTransport>(std::move(*fresh), opaque_sends));
+  };
+  auto primary = std::make_shared<MemDisk>(kBlocks, kBs);
+  auto engine = std::make_unique<PrinsEngine>(primary, config);
+  {
+    auto raw = network.connect("replica");
+    ASSERT_TRUE(raw.is_ok());
+    FaultConfig faults;
+    faults.disconnect_after = 20;  // hard cut partway through the run
+    engine->add_replica(
+        std::make_unique<FaultyTransport>(std::move(*raw), faults));
+  }
+  for (Lba i = 0; i < 60; ++i) {
+    ASSERT_TRUE(engine->write(i % kBlocks, random_block(1500 + i)).is_ok());
+  }
+  ASSERT_TRUE(engine->drain().is_ok());  // blocks until the heal lands
+
+  Bytes a(kBs), b(kBs);
+  for (Lba lba = 0; lba < kBlocks; ++lba) {
+    ASSERT_TRUE(primary->read(lba, a).is_ok());
+    ASSERT_TRUE(replica_disk->read(lba, b).is_ok());
+    ASSERT_EQ(a, b) << "lba " << lba;
+  }
+  EXPECT_GE(calls->load(), 3);
+  EXPECT_EQ(opaque_sends->load(), 0);
+  EXPECT_EQ(engine->metrics().reconnects, 1u);
+  engine.reset();
+  listener->close();
+  server.join();
 }
 
 TEST(EngineTest, ConnectionLossNeverReplaysAFullBlockOverItsSuccessor) {
@@ -874,8 +946,10 @@ TEST(EngineTest, ConnectionLossNeverReplaysAFullBlockOverItsSuccessor) {
 
   // The first link: holds the first write's ack until both hot writes are
   // queued behind it (so they share the next round), never acks the first
-  // hot write, acks the second, then hangs up.
+  // hot write, acks the second, then hangs up.  The hot writes wait until
+  // the first write is on the wire, so it travels alone in the first round.
   auto [primary_end, replica_end] = make_inproc_pair();
+  std::promise<void> first_sent;
   std::promise<void> hot_queued;
   std::shared_future<void> queued = hot_queued.get_future().share();
   std::thread first_link([&, t = std::move(replica_end)] {
@@ -886,7 +960,10 @@ TEST(EngineTest, ConnectionLossNeverReplaysAFullBlockOverItsSuccessor) {
       auto request = ReplicationMessage::decode(*wire);
       ASSERT_TRUE(request.is_ok());
       ++writes;
-      if (writes == 1) queued.wait();
+      if (writes == 1) {
+        first_sent.set_value();
+        queued.wait();
+      }
       if (writes == 2) continue;  // lost
       auto reply = replica->apply(*request);
       ASSERT_TRUE(reply.is_ok()) << reply.status().to_string();
@@ -900,6 +977,7 @@ TEST(EngineTest, ConnectionLossNeverReplaysAFullBlockOverItsSuccessor) {
   engine->add_replica(std::move(primary_end));
 
   ASSERT_TRUE(engine->write(0, random_block(1400)).is_ok());
+  first_sent.get_future().wait();
   ASSERT_TRUE(engine->write(kHot, random_block(1401)).is_ok());
   ASSERT_TRUE(engine->write(kHot, random_block(1402)).is_ok());
   hot_queued.set_value();

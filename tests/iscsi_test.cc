@@ -14,10 +14,11 @@
 #include "common/rng.h"
 #include "iscsi/initiator.h"
 #include "iscsi/pdu.h"
+#include "iscsi/reactor_target.h"
 #include "iscsi/scsi.h"
 #include "iscsi/target.h"
 #include "net/inproc.h"
-#include "net/tcp.h"
+#include "net/reactor_tcp.h"
 
 namespace prins::iscsi {
 namespace {
@@ -259,13 +260,13 @@ TEST(IscsiSessionTest, LogoutIsIdempotentAndFinal) {
 TEST(IscsiSessionTest, WorksOverTcp) {
   auto disk = std::make_shared<MemDisk>(64, 4096);
   auto target = std::make_shared<IscsiTarget>(disk);
-  auto listener_or = TcpListener::listen(0);
-  ASSERT_TRUE(listener_or.is_ok());
-  auto listener = std::shared_ptr<TcpListener>(std::move(*listener_or));
-  const std::uint16_t port = listener->port();
-  std::thread server = serve_in_background(target, listener);
+  auto pool = ReactorPool::create(1);
+  ASSERT_TRUE(pool.is_ok());
+  auto server = ReactorIscsiServer::start(target, *pool);
+  ASSERT_TRUE(server.is_ok()) << server.status().to_string();
 
-  auto transport = TcpTransport::connect("127.0.0.1", port);
+  auto transport = ReactorTcpTransport::connect(
+      (*pool)->at(0).shared_from_this(), "127.0.0.1", (*server)->port());
   ASSERT_TRUE(transport.is_ok());
   auto initiator = IscsiInitiator::login(std::move(*transport));
   ASSERT_TRUE(initiator.is_ok()) << initiator.status().to_string();
@@ -277,8 +278,7 @@ TEST(IscsiSessionTest, WorksOverTcp) {
   ASSERT_TRUE((*initiator)->read(5, out).is_ok());
   EXPECT_EQ(out, data);
   ASSERT_TRUE((*initiator)->logout().is_ok());
-  listener->close();
-  server.join();
+  (*server)->stop();
 }
 
 TEST(CdbTest, SixteenByteFormsRoundTrip) {
@@ -386,26 +386,28 @@ TEST(IscsiSessionTest, DiscoveryThenNormalLoginWorkflow) {
   // The standard flow: discover the target name first, then log in to it.
   auto disk = std::make_shared<MemDisk>(16, 512);
   auto target = std::make_shared<IscsiTarget>(disk);
-  InprocNetwork net;
-  auto listener_or = net.listen("portal");
-  ASSERT_TRUE(listener_or.is_ok());
-  auto listener = std::shared_ptr<Listener>(std::move(*listener_or));
-  std::thread server = serve_in_background(target, listener);
+  auto pool = ReactorPool::create(1);
+  ASSERT_TRUE(pool.is_ok());
+  auto server = ReactorIscsiServer::start(target, *pool);
+  ASSERT_TRUE(server.is_ok()) << server.status().to_string();
+  const auto connect = [&] {
+    return ReactorTcpTransport::connect((*pool)->at(0).shared_from_this(),
+                                        "127.0.0.1", (*server)->port());
+  };
 
-  auto discovery_conn = net.connect("portal");
+  auto discovery_conn = connect();
   ASSERT_TRUE(discovery_conn.is_ok());
   auto targets = discover_targets(std::move(*discovery_conn));
   ASSERT_TRUE(targets.is_ok());
   ASSERT_FALSE(targets->empty());
 
-  auto session_conn = net.connect("portal");
+  auto session_conn = connect();
   ASSERT_TRUE(session_conn.is_ok());
   auto initiator = IscsiInitiator::login(std::move(*session_conn));
   ASSERT_TRUE(initiator.is_ok());
   EXPECT_EQ((*initiator)->target_name(), (*targets)[0]);
   ASSERT_TRUE((*initiator)->logout().is_ok());
-  listener->close();
-  server.join();
+  (*server)->stop();
 }
 
 TEST(IscsiSessionTest, ProtocolViolationsAreRejected) {

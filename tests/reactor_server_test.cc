@@ -24,7 +24,6 @@
 #include "net/inproc.h"
 #include "net/reactor.h"
 #include "net/reactor_tcp.h"
-#include "net/tcp.h"
 #include "net/traffic_meter.h"
 #include "prins/engine.h"
 #include "prins/intent_log.h"
@@ -53,6 +52,22 @@ std::size_t count_threads() {
     ++n;
   }
   return n;
+}
+
+/// The loops this file's client connections and blocking listeners run
+/// on, as a remote primary's would.
+std::shared_ptr<ReactorPool> client_pool() {
+  static std::shared_ptr<ReactorPool> pool = [] {
+    auto created = ReactorPool::create(1);
+    EXPECT_TRUE(created.is_ok()) << created.status().to_string();
+    return *created;
+  }();
+  return pool;
+}
+
+Result<std::unique_ptr<Transport>> connect_client(std::uint16_t port) {
+  return ReactorTcpTransport::connect(client_pool()->at(0).shared_from_this(),
+                                      "127.0.0.1", port);
 }
 
 // Thread count once it holds still for 10 ms: helper threads an earlier
@@ -125,7 +140,7 @@ TEST(ReactorReplicaServerTest, TwoInitiatorsDisjointRangesConverge) {
   std::vector<Bytes> expect(kBlocks, Bytes(kBs, Byte{0}));
   auto run_initiator = [&](Lba base, std::uint64_t sequence,
                            std::uint64_t seed) {
-    auto link = TcpTransport::connect("127.0.0.1", (*server)->port());
+    auto link = connect_client((*server)->port());
     ASSERT_TRUE(link.is_ok()) << link.status().to_string();
     Rng rng(seed);
     Bytes delta(kBs);
@@ -183,7 +198,7 @@ TEST(ReactorReplicaServerTest, OverlappingInitiatorsApplyWholeBlocks) {
   // Sequence ranges must be distinct per connection: the replica's dedup
   // window is global across sessions, not per connection.
   auto run_initiator = [&](Byte fill, std::uint64_t first_sequence) {
-    auto link = TcpTransport::connect("127.0.0.1", (*server)->port());
+    auto link = connect_client((*server)->port());
     ASSERT_TRUE(link.is_ok());
     const Bytes block(kBs, fill);
     std::size_t sent = 0;
@@ -242,7 +257,7 @@ TEST(ReactorReplicaServerTest, DuplicateAcrossReconnectAppliesOnce) {
   const Bytes wire = msg.encode();
 
   for (int attempt = 0; attempt < 2; ++attempt) {
-    auto link = TcpTransport::connect("127.0.0.1", (*server)->port());
+    auto link = connect_client((*server)->port());
     ASSERT_TRUE(link.is_ok());
     ASSERT_TRUE((*link)->send(wire).is_ok());
     ASSERT_TRUE(collect_acks(**link, 1).is_ok());  // duplicate is acked too
@@ -295,14 +310,14 @@ TEST(ReactorReplicaServerTest, FaultStormThroughWrappedTransportHeals) {
   config.retry.max_backoff = 10ms;
   config.retry.op_timeout = 2s;
   config.reconnect = [&](std::size_t) -> Result<std::unique_ptr<Transport>> {
-    auto fresh = TcpTransport::connect("127.0.0.1", port);
+    auto fresh = connect_client(port);
     if (!fresh.is_ok()) return fresh.status();
     return std::unique_ptr<Transport>(std::move(*fresh));
   };
   auto primary = std::make_shared<MemDisk>(kBlocks, kBs);
   auto engine = std::make_unique<PrinsEngine>(primary, config);
   {
-    auto link = TcpTransport::connect("127.0.0.1", port);
+    auto link = connect_client(port);
     ASSERT_TRUE(link.is_ok());
     engine->add_replica(std::move(*link));
   }
@@ -377,7 +392,7 @@ TEST(ReactorReplicaServerTest, RestartUnderLoadAppliesExactlyOnce) {
     auto replica = std::make_shared<ReplicaEngine>(replica_disk, rconfig);
     auto server = ReactorReplicaServer::start(replica, *pool);
     ASSERT_TRUE(server.is_ok());
-    auto link = TcpTransport::connect("127.0.0.1", (*server)->port());
+    auto link = connect_client((*server)->port());
     ASSERT_TRUE(link.is_ok());
     // A fully acked prefix...
     for (int i = 0; i < 120; ++i) {
@@ -409,7 +424,7 @@ TEST(ReactorReplicaServerTest, RestartUnderLoadAppliesExactlyOnce) {
   auto server = ReactorReplicaServer::start(replica, *pool);
   ASSERT_TRUE(server.is_ok());
 
-  auto link = TcpTransport::connect("127.0.0.1", (*server)->port());
+  auto link = connect_client((*server)->port());
   ASSERT_TRUE(link.is_ok());
   for (const Bytes& wire : unacked) {  // replay the whole un-acked window
     ASSERT_TRUE((*link)->send(wire).is_ok());
@@ -445,14 +460,14 @@ TEST(ReplicaServeTest, BackgroundLoopServesConcurrentSessions) {
   constexpr std::uint32_t kBs = 512;
   auto replica_disk = std::make_shared<MemDisk>(16, kBs);
   auto replica = std::make_shared<ReplicaEngine>(replica_disk);
-  auto listener = TcpListener::listen(0);
+  auto listener = ReactorListener::listen(client_pool(), 0);
   ASSERT_TRUE(listener.is_ok());
   const std::uint16_t port = (*listener)->port();
   auto shared_listener = std::shared_ptr<Listener>(std::move(*listener));
   std::thread server = replica_serve_in_background(replica, shared_listener);
 
   // Session A: connected and idle (a slow primary holding its link).
-  auto idle = TcpTransport::connect("127.0.0.1", port);
+  auto idle = connect_client(port);
   ASSERT_TRUE(idle.is_ok());
   const Bytes block(kBs, Byte{0x5c});
   ASSERT_TRUE(
@@ -460,7 +475,7 @@ TEST(ReplicaServeTest, BackgroundLoopServesConcurrentSessions) {
   ASSERT_TRUE(collect_acks(**idle, 1).is_ok());
 
   // Session B must complete while A stays open.
-  auto busy = TcpTransport::connect("127.0.0.1", port);
+  auto busy = connect_client(port);
   ASSERT_TRUE(busy.is_ok());
   ASSERT_TRUE(
       (*busy)->send(sync_block_message(1, 2, kBs, block).encode()).is_ok());
@@ -499,13 +514,13 @@ TEST(ReplicaServeTest, AcceptLoopRetriesTransientFailures) {
   constexpr std::uint32_t kBs = 512;
   auto replica_disk = std::make_shared<MemDisk>(8, kBs);
   auto replica = std::make_shared<ReplicaEngine>(replica_disk);
-  auto inner = TcpListener::listen(0);
+  auto inner = ReactorListener::listen(client_pool(), 0);
   ASSERT_TRUE(inner.is_ok());
   const std::uint16_t port = (*inner)->port();
   auto listener = std::make_shared<FlakyListener>(std::move(*inner), 5);
   std::thread server = replica_serve_in_background(replica, listener);
 
-  auto link = TcpTransport::connect("127.0.0.1", port);
+  auto link = connect_client(port);
   ASSERT_TRUE(link.is_ok());
   const Bytes block(kBs, Byte{0x3d});
   ASSERT_TRUE(
@@ -533,7 +548,7 @@ TEST(ReactorIscsiServerTest, TwoInitiatorsShareTheWorkerPool) {
   ASSERT_TRUE(server.is_ok()) << server.status().to_string();
 
   auto run_initiator = [&](Lba base, std::uint64_t seed) {
-    auto link = TcpTransport::connect("127.0.0.1", (*server)->port());
+    auto link = connect_client((*server)->port());
     ASSERT_TRUE(link.is_ok());
     auto initiator = iscsi::IscsiInitiator::login(std::move(*link));
     ASSERT_TRUE(initiator.is_ok()) << initiator.status().to_string();
@@ -613,9 +628,9 @@ TEST(ReactorSenderTest, WritesConvergeWithoutSenderThreads) {
 
 TEST(ReactorSenderTest, MeteredReactorLinkStartsNoSenderThread) {
   // Decorators (a TrafficMeter over a FaultyTransport) around a reactor
-  // link must still see through to the reactor connection; otherwise
-  // add_replica would wrap the link in a RecvPump and start its reader
-  // thread.  This is the gate the stack bench applies.
+  // link must still see through to the reactor connection, and
+  // add_replica must start no thread for it.  This is the gate the stack
+  // bench applies.
   constexpr std::uint32_t kBs = 1024;
   constexpr std::uint64_t kBlocks = 64;
   auto replica_disk = std::make_shared<MemDisk>(kBlocks, kBs);
@@ -661,10 +676,59 @@ TEST(ReactorSenderTest, MeteredReactorLinkStartsNoSenderThread) {
   (*server)->stop();
 }
 
+TEST(ReactorSenderTest, InprocLinksStartNoThreadPerLink) {
+  // Three in-process links deliver their replies on the engine's loop:
+  // attaching them and replicating through them starts no thread.
+  constexpr std::uint32_t kBs = 1024;
+  constexpr std::uint64_t kBlocks = 64;
+  auto primary = std::make_shared<MemDisk>(kBlocks, kBs);
+  EngineConfig config;
+  config.pipeline_depth = 4;
+  auto engine = std::make_unique<PrinsEngine>(primary, config);
+  std::vector<std::shared_ptr<MemDisk>> disks;
+  std::vector<std::thread> serve_threads;
+  std::vector<std::unique_ptr<Transport>> links;
+  for (int i = 0; i < 3; ++i) {
+    disks.push_back(std::make_shared<MemDisk>(kBlocks, kBs));
+    auto replica = std::make_shared<ReplicaEngine>(disks.back());
+    auto [primary_end, replica_end] = make_inproc_pair();
+    links.push_back(std::move(primary_end));
+    serve_threads.emplace_back(
+        [replica, t = std::shared_ptr<Transport>(std::move(replica_end))] {
+          (void)replica->serve(*t);
+        });
+  }
+  // Let the replicas' serve threads settle before counting.
+  const std::size_t threads_before = settled_thread_count();
+  for (auto& link : links) engine->add_replica(std::move(link));
+  EXPECT_LE(count_threads(), threads_before)
+      << "add_replica started a thread for an in-process link";
+
+  Rng rng(47);
+  Bytes block(kBs);
+  for (int i = 0; i < 100; ++i) {
+    rng.fill(block);
+    ASSERT_TRUE(engine->write(rng.next_below(kBlocks), block).is_ok());
+  }
+  ASSERT_TRUE(engine->drain().is_ok());
+  EXPECT_LE(count_threads(), threads_before)
+      << "replicating over in-process links started a thread";
+  Bytes want(kBs), got(kBs);
+  for (const auto& disk : disks) {
+    for (Lba lba = 0; lba < kBlocks; ++lba) {
+      ASSERT_TRUE(primary->read(lba, want).is_ok());
+      ASSERT_TRUE(disk->read(lba, got).is_ok());
+      ASSERT_EQ(want, got) << "diverged at lba " << lba;
+    }
+  }
+  engine.reset();
+  for (auto& t : serve_threads) t.join();
+}
+
 TEST(ReactorSenderTest, ReattachSwapsBlockingAndReactorLinksUnderLiveWrites) {
   // One replica link moves inproc -> reactor TCP -> inproc -> reactor TCP
   // while a writer keeps going.  Both kinds run the same event-driven
-  // sender (the inproc one through a RecvPump), so each swap only
+  // sender (the inproc one on the engine's loop), so each swap only
   // retransmits the open round on the fresh transport: every write is
   // acked exactly once and the replica ends byte-identical.
   constexpr std::uint32_t kBs = 1024;
@@ -758,7 +822,7 @@ TEST(ReactorSenderTest, HealsAfterHardConnectionCut) {
   constexpr std::uint64_t kBlocks = 64;
   auto replica_disk = std::make_shared<MemDisk>(kBlocks, kBs);
   auto replica = std::make_shared<ReplicaEngine>(replica_disk);
-  auto inner = TcpListener::listen(0);
+  auto inner = ReactorListener::listen(client_pool(), 0);
   ASSERT_TRUE(inner.is_ok());
   const std::uint16_t port = (*inner)->port();
   // The server end of the FIRST link hard-cuts after 60 sends; later

@@ -6,10 +6,15 @@
 // reading their own socket (deadlines, serialized readers, the hand-back
 // to a message handler, a one-CPU lost-wakeup soak), a 256-connection echo
 // soak through the handler path, a reconnect storm under
-// FaultyListener-injected disconnects, and RecvPump, which gives blocking
-// transports the same handler contract.
+// FaultyListener-injected disconnects, and the socket edge cases: a
+// mid-frame stall, peer close, a send to a gone peer, a refused connect,
+// and a bad address.
 #include <gtest/gtest.h>
+#include <arpa/inet.h>
+#include <netinet/in.h>
 #include <sched.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
 #include <atomic>
 #include <mutex>
@@ -23,8 +28,6 @@
 #include "net/inproc.h"
 #include "net/reactor.h"
 #include "net/reactor_tcp.h"
-#include "net/recv_pump.h"
-#include "net/tcp.h"
 #include "prins/engine.h"
 #include "prins/replica.h"
 
@@ -115,6 +118,31 @@ TEST(TimerWheelTest, PastDeadlineFiresOnNextCollect) {
   ASSERT_EQ(wheel.collect_due(t0 + 40ms, due), 0u);  // advance the cursor
   wheel.schedule_at(t0 + 5ms, [] {});                // already in the past
   EXPECT_EQ(wheel.collect_due(t0 + 41ms, due), 1u);
+}
+
+TEST(TimerWheelTest, NeverFiresBeforeItsDeadline) {
+  // A deadline partway through a tick: collecting earlier in that tick
+  // must leave it pending.
+  TimerWheel wheel;
+  const auto t0 = TimerWheel::Clock::now();
+  wheel.schedule_at(t0 + 10ms + 600us, [] {});
+  std::vector<std::function<void()>> due;
+  EXPECT_EQ(wheel.collect_due(t0 + 10ms + 300us, due), 0u);
+  EXPECT_EQ(wheel.collect_due(t0 + 10ms + 700us, due), 1u);
+}
+
+TEST(TimerWheelTest, EntryScheduledLaterInTheCurrentTickStillFires) {
+  // Collecting partway through a tick must not move the cursor past it:
+  // an entry scheduled for later in the same tick fires once due, not a
+  // tick later (a reactor would spin on its past deadline meanwhile).
+  TimerWheel wheel;
+  const auto t0 = TimerWheel::Clock::now();
+  wheel.schedule_at(t0 + 10ms, [] {});
+  std::vector<std::function<void()>> due;
+  EXPECT_EQ(wheel.collect_due(t0 + 10ms + 200us, due), 1u);
+  wheel.schedule_at(t0 + 10ms + 500us, [] {});
+  EXPECT_EQ(wheel.collect_due(t0 + 10ms + 600us, due), 1u);
+  EXPECT_EQ(wheel.pending(), 0u);
 }
 
 // ---- Reactor (live loop) ---------------------------------------------------
@@ -209,32 +237,6 @@ TEST(ReactorTcpTest, RoundTripOverLoopback) {
     EXPECT_EQ(*got, data) << n;
   }
   (*client)->close();
-  server.join();
-}
-
-TEST(ReactorTcpTest, InteroperatesWithBlockingTcp) {
-  // Wire format is shared: a reactor client against a blocking TcpListener.
-  auto listener = TcpListener::listen(0);
-  ASSERT_TRUE(listener.is_ok());
-  std::thread server([&] {
-    auto conn = (*listener)->accept();
-    ASSERT_TRUE(conn.is_ok());
-    auto got = (*conn)->recv();
-    ASSERT_TRUE(got.is_ok());
-    ASSERT_TRUE((*conn)->send(*got).is_ok());
-  });
-
-  auto reactor = Reactor::create();
-  ASSERT_TRUE(reactor.is_ok());
-  auto client =
-      ReactorTcpTransport::connect(*reactor, "localhost", (*listener)->port());
-  ASSERT_TRUE(client.is_ok());
-  const ByteSpan parts[] = {as_bytes("scatter"), as_bytes("-"),
-                            as_bytes("gather")};
-  ASSERT_TRUE((*client)->send_vec(parts).is_ok());
-  auto got = (*client)->recv();
-  ASSERT_TRUE(got.is_ok());
-  EXPECT_EQ(*got, message("scatter-gather"));
   server.join();
 }
 
@@ -676,214 +678,127 @@ TEST(ReactorTcpTest, CloseUnblocksPendingRecv) {
   closer.join();
 }
 
-// ---- RecvPump: the handler contract over a blocking transport -------------
-
-std::uint32_t index_of(const Bytes& m) { return load_le32(m); }
-
-Bytes indexed(std::uint32_t i) {
-  Bytes m(4);
-  store_le32(m, i);
-  return m;
-}
-
-TEST(RecvPumpTest, HandlerInboxHandlerHandoffLosesAndRepeatsNothing) {
-  // A stream of numbered frames while the handler is removed and put back:
-  // the handler sees a prefix, recv() the next 500, the handler the rest,
-  // each exactly once and in order, always on the loop thread.
-  constexpr std::uint32_t kFrames = 3000;
-  constexpr std::uint32_t kPulled = 500;
+TEST(ReactorTcpTest, ConnectToClosedPortFails) {
+  // Grab a free port with a socket that binds but never listens, and
+  // close it, so nothing is there.  (A ReactorListener closes its socket
+  // on the loop, after close() returns.)
+  const int probe = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(probe, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  ASSERT_EQ(::bind(probe, reinterpret_cast<sockaddr*>(&addr), sizeof addr), 0);
+  socklen_t len = sizeof addr;
+  ASSERT_EQ(::getsockname(probe, reinterpret_cast<sockaddr*>(&addr), &len), 0);
+  ::close(probe);
   auto reactor = Reactor::create();
   ASSERT_TRUE(reactor.is_ok());
-  std::mutex mutex;
-  std::vector<std::uint32_t> handled;
-  std::atomic<bool> off_loop{false};
-  const auto handler = [&](Bytes&& m) {
-    if (!(*reactor)->on_loop_thread()) off_loop = true;
-    std::lock_guard lock(mutex);
-    handled.push_back(index_of(m));
-  };
-  auto [near, far] = make_inproc_pair(/*capacity=*/4);
-  RecvPump pump(std::move(near), *reactor);
-  pump.set_message_handler(handler);
-  std::thread peer([&, t = far.get()] {
-    for (std::uint32_t i = 0; i < kFrames; ++i) {
-      ASSERT_TRUE(t->send(indexed(i)).is_ok());
-    }
-  });
-  ASSERT_TRUE(await([&] {
-    std::lock_guard lock(mutex);
-    return handled.size() >= 100;
-  }));
-  pump.set_message_handler(nullptr);
-  std::vector<std::uint32_t> pulled;
-  for (std::uint32_t i = 0; i < kPulled; ++i) {
-    auto m = pump.recv_for(5s);
-    ASSERT_TRUE(m.is_ok()) << m.status().to_string();
-    pulled.push_back(index_of(*m));
+  auto client =
+      ReactorTcpTransport::connect(*reactor, "127.0.0.1", ntohs(addr.sin_port));
+  EXPECT_FALSE(client.is_ok());
+}
+
+TEST(ReactorTcpTest, BadAddressRejected) {
+  auto reactor = Reactor::create();
+  ASSERT_TRUE(reactor.is_ok());
+  auto client = ReactorTcpTransport::connect(*reactor, "not-an-ip", 80);
+  EXPECT_EQ(client.status().code(), ErrorCode::kInvalidArgument);
+}
+
+/// A raw client socket connected to `port`, so a test can write half a
+/// frame and stall on purpose.
+int raw_connect(std::uint16_t port) {
+  const int raw = ::socket(AF_INET, SOCK_STREAM, 0);
+  if (raw < 0) return -1;
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(port);
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  if (::connect(raw, reinterpret_cast<sockaddr*>(&addr), sizeof addr) != 0) {
+    ::close(raw);
+    return -1;
   }
-  pump.set_message_handler(handler);
-  peer.join();
-  ASSERT_TRUE(await([&] {
-    std::lock_guard lock(mutex);
-    return handled.size() + kPulled == kFrames;
-  }));
-  std::this_thread::sleep_for(20ms);  // a duplicate would land by now
-
-  std::lock_guard lock(mutex);
-  ASSERT_EQ(handled.size() + pulled.size(), kFrames);
-  const std::size_t before = pulled.front();  // frames the handler saw first
-  for (std::uint32_t i = 0; i < kFrames; ++i) {
-    const std::uint32_t got = i < before            ? handled[i]
-                              : i < before + kPulled ? pulled[i - before]
-                                                     : handled[i - kPulled];
-    ASSERT_EQ(got, i) << "frame " << i;
-  }
-  EXPECT_FALSE(off_loop.load());
-  pump.set_message_handler(nullptr);
+  return raw;
 }
 
-TEST(RecvPumpTest, BlockingRecvAfterClearingTheHandlerGetsTheNextFrame) {
-  // The engine's exclusive exchange: park the handler, then read the
-  // reply with a deadline.
-  auto reactor = Reactor::create();
-  ASSERT_TRUE(reactor.is_ok());
-  std::atomic<int> handled{0};
-  auto [near, far] = make_inproc_pair();
-  RecvPump pump(std::move(near), *reactor);
-  pump.set_message_handler([&](Bytes&&) { ++handled; });
-  ASSERT_TRUE(far->send(message("to the handler")).is_ok());
-  ASSERT_TRUE(await([&] { return handled.load() == 1; }));
-
-  pump.set_message_handler(nullptr);
-  EXPECT_EQ(pump.recv_for(20ms).status().code(), ErrorCode::kTimeout);
-  ASSERT_TRUE(far->send(message("reply")).is_ok());
-  auto reply = pump.recv_for(5s);
-  ASSERT_TRUE(reply.is_ok()) << reply.status().to_string();
-  EXPECT_EQ(*reply, message("reply"));
-  EXPECT_EQ(handled.load(), 1);
-}
-
-TEST(RecvPumpTest, PeerCloseFiresTheCloseHandlerOnce) {
-  auto reactor = Reactor::create();
-  ASSERT_TRUE(reactor.is_ok());
-  std::atomic<int> closes{0};
-  std::atomic<int> frames{0};
-  std::atomic<bool> frame_after_close{false};
-  std::atomic<int> late{0};
-  auto [near, far] = make_inproc_pair();
-  RecvPump pump(std::move(near), *reactor);
-  pump.set_message_handler([&](Bytes&&) {
-    if (closes.load() != 0) frame_after_close = true;
-    ++frames;
-  });
-  pump.set_close_handler([&](const Status& why) {
-    EXPECT_EQ(why.code(), ErrorCode::kUnavailable);
-    ++closes;
-  });
-  ASSERT_TRUE(far->send(message("last words")).is_ok());
-  far->close();
-  ASSERT_TRUE(await([&] { return closes.load() == 1; }));
-  std::this_thread::sleep_for(20ms);
-  EXPECT_EQ(closes.load(), 1);
-  EXPECT_EQ(frames.load(), 1);
-  EXPECT_FALSE(frame_after_close.load());  // messages first, then the close
-  EXPECT_EQ(pump.recv_for(5s).status().code(), ErrorCode::kUnavailable);
-
-  // Installed on a dead connection, a handler still fires, once.
-  pump.set_close_handler([&](const Status&) { ++late; });
-  ASSERT_TRUE(await([&] { return late.load() == 1; }));
-  std::this_thread::sleep_for(20ms);
-  EXPECT_EQ(late.load(), 1);
-}
-
-TEST(RecvPumpTest, SendsFailOnceThePeerHasClosed) {
-  // The close handler is one-shot: a caller that saw it while idle (or
-  // never installed one) learns of the death from its next send.  Over
-  // TCP the kernel would still take that send after the peer's FIN.
-  auto reactor = Reactor::create();
-  ASSERT_TRUE(reactor.is_ok());
-  auto listener = TcpListener::listen(0);
-  ASSERT_TRUE(listener.is_ok()) << listener.status().to_string();
-  auto near = TcpTransport::connect("127.0.0.1", (*listener)->port());
-  ASSERT_TRUE(near.is_ok()) << near.status().to_string();
-  auto far = (*listener)->accept();
-  ASSERT_TRUE(far.is_ok()) << far.status().to_string();
-  std::atomic<int> closes{0};
-  RecvPump pump(std::move(*near), *reactor);
-  pump.set_close_handler([&](const Status&) { ++closes; });
-  ASSERT_TRUE(pump.send(message("before")).is_ok());
-  ASSERT_TRUE((*far)->recv_for(5s).is_ok());
-  (*far)->close();
-  ASSERT_TRUE(await([&] { return closes.load() == 1; }));
-  EXPECT_FALSE(pump.send(message("after")).is_ok());
-  const Bytes a = message("a"), b = message("b");
-  const ByteSpan parts[] = {a, b};
-  EXPECT_FALSE(pump.send_vec(parts).is_ok());
-}
-
-TEST(RecvPumpTest, SendNeverWaitsForAPeerThatStoppedReading) {
-  // A peer that reads nothing, behind a channel of one message: every send
-  // returns at once and the writer delivers in order once the peer reads.
-  auto reactor = Reactor::create();
-  ASSERT_TRUE(reactor.is_ok());
-  constexpr std::uint32_t kFrames = 64;
-  auto [near, far] = make_inproc_pair(/*capacity=*/1);
-  RecvPump pump(std::move(near), *reactor);
-  const auto start = std::chrono::steady_clock::now();
-  for (std::uint32_t i = 0; i < kFrames; ++i) {
-    ASSERT_TRUE(pump.send(indexed(i)).is_ok());
-  }
-  EXPECT_LT(std::chrono::steady_clock::now() - start, 2s);
-  for (std::uint32_t i = 0; i < kFrames; ++i) {
-    auto m = far->recv_for(5s);
-    ASSERT_TRUE(m.is_ok()) << m.status().to_string();
-    ASSERT_EQ(index_of(*m), i);
-  }
-}
-
-TEST(RecvPumpTest, DestructorJoinsTheReaderParkedInRecv) {
-  // Also the writer parked on flow control: two sends over a channel of
-  // one message nobody reads.
-  auto reactor = Reactor::create();
-  ASSERT_TRUE(reactor.is_ok());
-  auto [near, far] = make_inproc_pair(/*capacity=*/1);
-  {
-    RecvPump pump(std::move(near), *reactor);
-    pump.set_message_handler([](Bytes&&) {});
-    ASSERT_TRUE(pump.send(indexed(0)).is_ok());
-    ASSERT_TRUE(pump.send(indexed(1)).is_ok());
-    std::this_thread::sleep_for(20ms);  // both threads are parked
-  }
-  // The inner transport was closed on the way out: the one frame the
-  // channel held, then end of stream; the unsent frame was dropped.
-  auto first = far->recv_for(5s);
-  ASSERT_TRUE(first.is_ok()) << first.status().to_string();
-  EXPECT_EQ(index_of(*first), 0u);
-  EXPECT_EQ(far->recv_for(5s).status().code(), ErrorCode::kUnavailable);
-}
-
-TEST(RecvPumpTest, OnlyTransportsWithoutHandlersAreWrapped) {
-  auto reactor = Reactor::create();
-  ASSERT_TRUE(reactor.is_ok());
-  auto [near, far] = make_inproc_pair();
-  auto wrapped = with_message_handlers(
-      std::make_unique<FaultyTransport>(std::move(near), FaultConfig{}),
-      *reactor);
-  EXPECT_NE(dynamic_cast<RecvPump*>(wrapped.get()), nullptr);
-
-  // A reactor connection under a decorator already has handlers.
+TEST(ReactorTcpTest, RecvForTimesOutMidFrameThenResumes) {
+  // The deadline covers the whole frame, not just its first byte, and the
+  // partial frame survives the timeout so the stream stays in sync.
   auto pool = ReactorPool::create(1);
   ASSERT_TRUE(pool.is_ok());
   auto listener = ReactorListener::listen(*pool, 0);
   ASSERT_TRUE(listener.is_ok());
-  auto client = ReactorTcpTransport::connect(
-      (*pool)->at(0).shared_from_this(), "127.0.0.1", (*listener)->port());
+  const int raw = raw_connect((*listener)->port());
+  ASSERT_GE(raw, 0);
+  auto server = (*listener)->accept();
+  ASSERT_TRUE(server.is_ok());
+
+  const Bytes body = message("ten__bytes");
+  unsigned char header[4] = {10, 0, 0, 0};  // little-endian length
+  ASSERT_EQ(::send(raw, header, sizeof header, 0), 4);
+  ASSERT_EQ(::send(raw, body.data(), 3, 0), 3);  // ...then stall
+
+  const auto start = std::chrono::steady_clock::now();
+  auto timed_out = (*server)->recv_for(80ms);
+  EXPECT_EQ(timed_out.status().code(), ErrorCode::kTimeout);
+  EXPECT_GE(std::chrono::steady_clock::now() - start, 80ms);
+
+  // The stream resumes mid-frame: the remaining 7 bytes complete the
+  // message that timed out, byte for byte.
+  ASSERT_EQ(::send(raw, body.data() + 3, 7, 0), 7);
+  auto got = (*server)->recv_for(5s);
+  ASSERT_TRUE(got.is_ok()) << got.status().to_string();
+  EXPECT_EQ(*got, body);
+
+  // And the connection is still framed correctly for the next message.
+  unsigned char next[4 + 2] = {2, 0, 0, 0, 'o', 'k'};
+  ASSERT_EQ(::send(raw, next, sizeof next, 0), 6);
+  auto after = (*server)->recv_for(5s);
+  ASSERT_TRUE(after.is_ok());
+  EXPECT_EQ(*after, message("ok"));
+  ::close(raw);
+}
+
+TEST(ReactorTcpTest, PeerCloseYieldsUnavailable) {
+  auto pool = ReactorPool::create(1);
+  ASSERT_TRUE(pool.is_ok());
+  auto listener = ReactorListener::listen(*pool, 0);
+  ASSERT_TRUE(listener.is_ok());
+  std::thread server([&] {
+    auto conn = (*listener)->accept();
+    ASSERT_TRUE(conn.is_ok());
+    (*conn)->close();
+  });
+  auto client = ReactorTcpTransport::connect((*pool)->at(0).shared_from_this(),
+                                             "localhost", (*listener)->port());
   ASSERT_TRUE(client.is_ok());
-  auto decorated =
-      std::make_unique<FaultyTransport>(std::move(*client), FaultConfig{});
-  const Transport* before = decorated.get();
-  auto kept = with_message_handlers(std::move(decorated), *reactor);
-  EXPECT_EQ(kept.get(), before);
+  auto got = (*client)->recv_for(5s);
+  EXPECT_EQ(got.status().code(), ErrorCode::kUnavailable);
+  server.join();
+}
+
+TEST(ReactorTcpTest, ScatterSendToAGonePeerFailsInsteadOfRaisingSigpipe) {
+  auto pool = ReactorPool::create(1);
+  ASSERT_TRUE(pool.is_ok());
+  auto listener = ReactorListener::listen(*pool, 0);
+  ASSERT_TRUE(listener.is_ok());
+  auto client = ReactorTcpTransport::connect((*pool)->at(0).shared_from_this(),
+                                             "127.0.0.1", (*listener)->port());
+  ASSERT_TRUE(client.is_ok());
+  {
+    auto conn = (*listener)->accept();
+    ASSERT_TRUE(conn.is_ok());
+  }  // the accepted connection is destroyed: the peer is gone
+  const Bytes part(1024, 0x5a);
+  const ByteSpan parts[] = {part, part};
+  Status sent = Status::ok();
+  // The first sends land in the kernel; once the reset comes back, the
+  // next one must fail (EPIPE), not kill the process.
+  for (int i = 0; i < 200 && sent.is_ok(); ++i) {
+    sent = (*client)->send_vec(parts);
+    std::this_thread::sleep_for(1ms);
+  }
+  EXPECT_FALSE(sent.is_ok());
 }
 
 // ---- engine backoff on reactor timers --------------------------------------

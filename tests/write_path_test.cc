@@ -21,7 +21,7 @@
 #include "net/faulty.h"
 #include "net/inproc.h"
 #include "net/latent.h"
-#include "net/tcp.h"
+#include "net/reactor_tcp.h"
 #include "net/traffic_meter.h"
 #include "prins/engine.h"
 #include "prins/intent_log.h"
@@ -179,17 +179,16 @@ TEST(SendVecTest, BaseClassFallbackMatchesConcatenation) {
 }
 
 TEST(SendVecTest, TcpWritevMatchesConcatenation) {
-  auto listener = TcpListener::listen(0);
+  auto pool = ReactorPool::create(1);
+  ASSERT_TRUE(pool.is_ok()) << pool.status().to_string();
+  auto listener = ReactorListener::listen(*pool, 0);
   ASSERT_TRUE(listener.is_ok()) << listener.status().to_string();
-  std::unique_ptr<Transport> accepted;
-  std::thread server([&] {
-    auto conn = (*listener)->accept();
-    ASSERT_TRUE(conn.is_ok());
-    accepted = std::move(*conn);
-  });
-  auto client = TcpTransport::connect("127.0.0.1", (*listener)->port());
+  auto client = ReactorTcpTransport::connect(
+      (*pool)->at(0).shared_from_this(), "127.0.0.1", (*listener)->port());
   ASSERT_TRUE(client.is_ok()) << client.status().to_string();
-  server.join();
+  auto conn = (*listener)->accept();
+  ASSERT_TRUE(conn.is_ok()) << conn.status().to_string();
+  std::unique_ptr<Transport> accepted = std::move(*conn);
   check_send_vec_roundtrip(**client, *accepted);
 
   // More parts than the writev fast path handles (falls back to one copy).
@@ -377,7 +376,7 @@ TEST(WritePipelineTest, PoolServesSteadyStateWrites) {
 TEST(WritePipelineTest, PoolingOffStillReplicatesCorrectly) {
   EngineConfig config;
   config.policy = ReplicationPolicy::kPrins;
-  config.pool_buffers = false;
+  config.pool_max_free = 0;  // every buffer from the heap
   Rig rig(config);
   for (std::uint64_t i = 0; i < 50; ++i) {
     ASSERT_TRUE(rig.engine->write(i % kBlocks, random_bytes(i, kBs)).is_ok());

@@ -41,7 +41,6 @@
 #include "iscsi/target.h"
 #include "net/reactor.h"
 #include "net/reactor_tcp.h"
-#include "net/tcp.h"
 #include "prins/engine.h"
 #include "prins/journal.h"
 #include "prins/reactor_server.h"
@@ -153,22 +152,16 @@ std::shared_ptr<BlockDevice> open_device(const Options& options,
   return device;
 }
 
-/// The process-wide reactor pool, created on first use when PRINS_REACTOR
-/// is set (PRINS_REACTOR_THREADS sizes it).  Null means classic blocking
-/// sockets with one kernel thread parked per link.
+/// The process-wide reactor pool every socket runs on, created on first
+/// use (PRINS_REACTOR_THREADS sizes it).  A node cannot run without it.
 std::shared_ptr<ReactorPool> shared_reactor_pool() {
-  static std::shared_ptr<ReactorPool> pool =
-      []() -> std::shared_ptr<ReactorPool> {
-    if (!reactor_enabled_from_env()) return nullptr;
+  static std::shared_ptr<ReactorPool> pool = [] {
     auto created = ReactorPool::create();
     if (!created.is_ok()) {
-      std::fprintf(stderr, "reactor pool unavailable (%s), using blocking "
-                           "sockets\n",
+      std::fprintf(stderr, "reactor pool unavailable: %s\n",
                    created.status().to_string().c_str());
-      return nullptr;
+      std::exit(1);
     }
-    std::fprintf(stderr, "reactor transport enabled (%zu loop thread%s)\n",
-                 (*created)->size(), (*created)->size() == 1 ? "" : "s");
     return std::move(*created);
   }();
   return pool;
@@ -176,11 +169,8 @@ std::shared_ptr<ReactorPool> shared_reactor_pool() {
 
 Result<std::unique_ptr<Transport>> connect_tcp(const std::string& host,
                                                std::uint16_t port) {
-  if (auto pool = shared_reactor_pool()) {
-    return ReactorTcpTransport::connect(pool->next().shared_from_this(), host,
-                                        port);
-  }
-  return TcpTransport::connect(host, port);
+  return ReactorTcpTransport::connect(
+      shared_reactor_pool()->next().shared_from_this(), host, port);
 }
 
 ReplicationPolicy parse_policy(const std::string& name) {
@@ -276,7 +266,7 @@ int run_replica(const Options& options) {
         config.old_block_cache_blocks, serving);
   };
   // Periodic pipeline-counter report, one parseable line per interval;
-  // never returns (both server modes run until the process is killed).
+  // never returns (the node runs until the process is killed).
   auto report_stats_forever = [&]() {
     for (;;) {
       std::this_thread::sleep_for(
@@ -312,39 +302,26 @@ int run_replica(const Options& options) {
       std::fflush(stdout);
     }
   };
-  if (auto pool = shared_reactor_pool()) {
-    // Thread-free serving: every session's frame loop runs as a reactor
-    // handler feeding one shared set of apply workers, so the node costs
-    // O(reactor_threads + apply_shards) threads however many primaries
-    // connect.
-    ReactorReplicaServerOptions server_options;
-    server_options.port = port;
-    auto server = ReactorReplicaServer::start(replica, pool, server_options);
-    if (!server.is_ok()) {
-      std::fprintf(stderr, "listen: %s\n",
-                   server.status().to_string().c_str());
-      return 1;
-    }
-    banner((*server)->port(), "thread-free reactor serving");
-    report_stats_forever();
-  }
-  auto listener = TcpListener::listen(port);
-  if (!listener.is_ok()) {
-    std::fprintf(stderr, "listen: %s\n", listener.status().to_string().c_str());
+  // Thread-free serving: every session's frame loop runs as a reactor
+  // handler feeding one shared set of apply workers, so the node costs
+  // O(reactor_threads + apply_shards) threads however many primaries
+  // connect.
+  ReactorReplicaServerOptions server_options;
+  server_options.port = port;
+  auto server =
+      ReactorReplicaServer::start(replica, shared_reactor_pool(), server_options);
+  if (!server.is_ok()) {
+    std::fprintf(stderr, "listen: %s\n", server.status().to_string().c_str());
     return 1;
   }
-  banner((*listener)->port(), "thread-per-session serving");
-  std::thread server = replica_serve_in_background(
-      replica, std::shared_ptr<Listener>(std::move(*listener)));
+  banner((*server)->port(), "thread-free reactor serving");
   report_stats_forever();
-  server.join();  // unreachable; keeps the thread joined on any exit path
-  return 0;
+  return 0;  // unreachable
 }
 
 /// Build the engine config every primary-side command shares: policy,
-/// fencing epoch (--epoch / PRINS_EPOCH), the reactor transports when
-/// enabled, and the crash-durable replication journal when --journal names
-/// a file.
+/// fencing epoch (--epoch / PRINS_EPOCH), the node's shared loop, and the
+/// crash-durable replication journal when --journal names a file.
 Result<EngineConfig> primary_engine_config(const Options& options) {
   EngineConfig config;
   config.policy = parse_policy(options.get("policy", "prins"));
@@ -353,11 +330,9 @@ Result<EngineConfig> primary_engine_config(const Options& options) {
   // conflict window from the first write, so the knob is resolved here
   // rather than when the router is built.
   config.read_from_replicas = !read_replica_specs().empty();
-  if (auto pool = shared_reactor_pool()) {
-    // The replica senders run on the node's shared loop instead of a
-    // private one.
-    config.reactor = pool->at(0).shared_from_this();
-  }
+  // The replica senders run on the node's shared loop instead of a
+  // private one.
+  config.reactor = shared_reactor_pool()->at(0).shared_from_this();
   const std::string journal_path = options.get("journal", "");
   if (!journal_path.empty()) {
     PRINS_ASSIGN_OR_RETURN(auto journal,
@@ -497,36 +472,21 @@ int serve_target(std::shared_ptr<PrinsEngine> engine, const Options& options,
   auto target = std::make_shared<iscsi::IscsiTarget>(device);
   const auto port = static_cast<std::uint16_t>(options.get_u64("port", 3260));
   const std::uint64_t stats_every = options.get_u64("stats", 0);
-  if (auto pool = shared_reactor_pool()) {
-    // Thread-free serving: each session is an actor on a small worker
-    // pool instead of a parked PDU thread.
-    iscsi::ReactorIscsiServerOptions server_options;
-    server_options.port = port;
-    auto server = iscsi::ReactorIscsiServer::start(target, pool,
-                                                   server_options);
-    if (!server.is_ok()) {
-      std::fprintf(stderr, "listen: %s\n",
-                   server.status().to_string().c_str());
-      return 1;
-    }
-    std::printf("iSCSI target on port %u (device %s, epoch %llu, "
-                "thread-free)\n",
-                (*server)->port(), options.get("file", default_file),
-                static_cast<unsigned long long>(engine->cluster_epoch()));
-    std::fflush(stdout);  // the serve loop blocks; surface the banner now
-    report_engine_stats_forever(*engine, stats_every, options.get_u64("json", 0) != 0);
-  }
-  auto listener = TcpListener::listen(port);
-  if (!listener.is_ok()) {
-    std::fprintf(stderr, "listen: %s\n", listener.status().to_string().c_str());
+  // Thread-free serving: each session is an actor on a small worker pool
+  // instead of a parked PDU thread.
+  iscsi::ReactorIscsiServerOptions server_options;
+  server_options.port = port;
+  auto server = iscsi::ReactorIscsiServer::start(target, shared_reactor_pool(),
+                                                 server_options);
+  if (!server.is_ok()) {
+    std::fprintf(stderr, "listen: %s\n", server.status().to_string().c_str());
     return 1;
   }
-  std::printf("iSCSI target on port %u (device %s, epoch %llu)\n",
-              (*listener)->port(), options.get("file", default_file),
+  std::printf("iSCSI target on port %u (device %s, epoch %llu, "
+              "thread-free)\n",
+              (*server)->port(), options.get("file", default_file),
               static_cast<unsigned long long>(engine->cluster_epoch()));
-  std::fflush(stdout);
-  std::thread server = iscsi::serve_in_background(
-      target, std::shared_ptr<Listener>(std::move(*listener)));
+  std::fflush(stdout);  // the serve loop blocks; surface the banner now
   report_engine_stats_forever(*engine, stats_every, options.get_u64("json", 0) != 0);
 }
 
@@ -636,9 +596,7 @@ int run_scrub(const Options& options) {
 
   EngineConfig engine_config;
   engine_config.policy = parse_policy(options.get("policy", "prins"));
-  if (auto pool = shared_reactor_pool()) {
-    engine_config.reactor = pool->at(0).shared_from_this();
-  }
+  engine_config.reactor = shared_reactor_pool()->at(0).shared_from_this();
   PrinsEngine engine(disk, engine_config);
 
   const std::string replica_spec = options.get("replica", "");
@@ -807,7 +765,7 @@ int run_cluster_serve(const Options& options) {
 
   std::vector<std::thread> accept_threads;
   for (const auto& spec : specs) {
-    auto listener = TcpListener::listen(spec.port);
+    auto listener = ReactorListener::listen(shared_reactor_pool(), spec.port);
     if (!listener.is_ok()) {
       std::fprintf(stderr, "listen %s on port %u: %s\n", spec.id.c_str(),
                    spec.port, listener.status().to_string().c_str());
