@@ -1,12 +1,12 @@
 // Fault-recovery ablation — replication throughput as the link degrades.
 //
-// The self-healing sender (retry + reconnect + trap-log resync) turns
-// message loss from a session-killer into a latency tax.  This bench
-// grounds that tax: one primary replicating to a replica over a
-// FaultyTransport, swept over the drop rate, then a hard mid-run
-// disconnect healed by the reconnect factory.  Every row verifies the
-// devices converged byte-for-byte — recovery that corrupts is not
-// recovery.
+// The self-healing sender (retry + reconnect + replay) turns message loss
+// from a session-killer into a latency tax.  This bench grounds that tax:
+// one primary replicating to a replica over a FaultyTransport, swept over
+// the drop rate, then a hard mid-run disconnect healed by the reconnect
+// factory.  Every row verifies the devices converged byte-for-byte —
+// recovery that corrupts is not recovery — and the bench exits non-zero
+// if any row did not converge or saw a write or drain fail.
 #include <chrono>
 #include <cstdio>
 #include <vector>
@@ -136,10 +136,12 @@ int main(int argc, char** argv) {
   std::printf("%-9s %-11s %12s %9s %9s %10s %10s %6s\n", "drop_p",
               "corrupt_p", "writes/s", "p50 us", "p99 us", "retries",
               "converged", "ok");
+  bool all_good = true;
   const double drops[] = {0.0, 0.002, 0.005, 0.01, 0.02};
   for (const double drop : drops) {
     const double corrupt = drop / 2;
     const RunResult r = run(writes, drop, corrupt, /*disconnect_after=*/0);
+    all_good &= r.converged && r.ok;
     std::printf("%-9.3f %-11.4f %12.0f %9.1f %9.1f %10llu %10s %6s\n", drop,
                 corrupt, r.writes_per_sec, r.lat.p50_us, r.lat.p99_us,
                 static_cast<unsigned long long>(r.retries),
@@ -156,6 +158,7 @@ int main(int argc, char** argv) {
               "converged", "ok");
   for (const std::uint64_t cut : {writes / 8, writes / 2}) {
     const RunResult r = run(writes, 0.002, 0.001, cut);
+    all_good &= r.converged && r.ok;
     std::printf("%-16llu %12.0f %9.1f %10llu %12llu %12llu %10s %6s\n",
                 static_cast<unsigned long long>(cut), r.writes_per_sec,
                 r.lat.p99_us, static_cast<unsigned long long>(r.retries),
@@ -163,9 +166,13 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(r.auto_resyncs),
                 r.converged ? "yes" : "NO", r.ok ? "yes" : "NO");
   }
-  std::printf("\nthe cut link reconnects transparently (in-flight window "
-              "replayed, dedup absorbs overlap); if retries exhaust first "
-              "the engine degrades, then self-heals by folding the trap "
-              "log over the outage.\n\n");
+  std::printf("\nthe cut link degrades and self-heals: the reconnect "
+              "factory supplies a fresh connection, the open window and "
+              "the queued writes are replayed on it, and the replica's "
+              "sequence dedup absorbs the overlap.\n\n");
+  if (!all_good) {
+    std::fprintf(stderr, "fault_recovery: a row did not converge or failed\n");
+    return 1;
+  }
   return 0;
 }

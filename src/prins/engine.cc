@@ -27,15 +27,34 @@ std::size_t resolve_write_shards(std::size_t requested) {
   return pow2;
 }
 
-Status full_block_reorder() {
-  return failed_precondition("out-of-order ack under a full-block policy");
-}
-
 // Codec frames add at most a small header plus bounded expansion over the
 // raw payload; reserving a bit beyond the block size keeps steady-state
 // frame encodes from growing the pooled buffer.
 std::size_t frame_capacity_for(std::size_t block_size) {
   return block_size + block_size / 8 + 64;
+}
+
+/// Exponential backoff with ±25% jitter before retry `attempt` (1-based):
+/// base · multiplier^(attempt−1), capped at `cap`.  The jitter decorrelates
+/// simultaneous retries across links.
+std::chrono::steady_clock::duration backoff_delay(
+    std::chrono::milliseconds base, std::chrono::milliseconds cap,
+    double multiplier, std::size_t attempt, Rng& jitter) {
+  const auto exponent = std::clamp<std::size_t>(attempt, 1, 31) - 1;
+  double ms = static_cast<double>(base.count()) *
+              std::pow(multiplier, static_cast<double>(exponent));
+  ms = std::min(ms, static_cast<double>(cap.count()));
+  ms *= 0.75 + 0.5 * jitter.next_double();
+  if (ms <= 0.0) ms = 0.0;
+  return std::chrono::duration_cast<std::chrono::steady_clock::duration>(
+      std::chrono::duration<double, std::milli>(ms));
+}
+
+/// CAS-max: raise `value` to at least `floor`.
+void raise_to(std::atomic<std::uint64_t>& value, std::uint64_t floor) {
+  std::uint64_t seen = value.load(std::memory_order_relaxed);
+  while (seen < floor && !value.compare_exchange_weak(seen, floor)) {
+  }
 }
 
 /// Bind a link entering the engine to the engine's loop.  Fails when a
@@ -130,14 +149,7 @@ void PrinsEngine::init_shards() {
 }
 
 std::uint64_t PrinsEngine::clock_tick() {
-  return (clock_state_.fetch_add(1, std::memory_order_seq_cst) & kClockMask) +
-         1;
-}
-
-void PrinsEngine::drop_pending() {
-  // Heals poll clock_state_ on a short wait_for, so no notify is needed —
-  // the hot path stays signal-free.
-  clock_state_.fetch_sub(kPendingOne, std::memory_order_acq_rel);
+  return clock_.fetch_add(1, std::memory_order_seq_cst) + 1;
 }
 
 PrinsEngine::~PrinsEngine() {
@@ -220,10 +232,10 @@ Status PrinsEngine::reattach_replica(std::size_t index,
     replica->unhealable = false;
     // Clear the sticky error only once *every* link is healthy again:
     // reattaching replica 0 must not silently absolve a still-failed
-    // replica 1.
-    bool any_failed = false;
-    for (const auto& r : replicas_) any_failed |= r->failed;
-    if (!any_failed) worker_error_ = Status::ok();
+    // replica 1.  The journal stays frozen until resync_replica delivers
+    // what the outage dropped.
+    release_if_all_live_locked(/*clear_error=*/true,
+                               /*unfreeze_journal=*/false);
     // Wakes a heal thread sleeping out its backoff, so the fresh link is
     // picked up now, not at the old deadline.
     queue_cv_.notify_all();
@@ -274,19 +286,6 @@ Status PrinsEngine::write_block_locked(WriteShard& shard, Lba b,
                           config_.keep_trap_log || raid_ != nullptr ||
                           raid6_ != nullptr;
 
-  // From here until the delta lands in the trap log, the device is ahead
-  // of the log: a heal snapshotting its fold window must wait for the
-  // window to clear (clock_state_'s pending bits), and the NAK-repair
-  // converter skips its round while this stripe is locked.  The matching
-  // decrement is in replicate_block(); error paths below abandon the
-  // window themselves.
-  if (config_.keep_trap_log) {
-    clock_state_.fetch_add(kPendingOne, std::memory_order_acq_rel);
-  }
-  const auto abandon_pending = [this] {
-    if (config_.keep_trap_log) drop_pending();
-  };
-
   if (raid_ != nullptr || raid6_ != nullptr) {
     // Tap mode: the array computes P' (and its dirty count) during its
     // small-write path.
@@ -304,12 +303,8 @@ Status PrinsEngine::write_block_locked(WriteShard& shard, Lba b,
         tap_deltas_.erase(it);
       }
     }
-    if (!wrote.is_ok()) {
-      abandon_pending();
-      return wrote;
-    }
+    if (!wrote.is_ok()) return wrote;
     if (!have_tap) {
-      abandon_pending();
       return internal_error("RAID tap produced no delta for block " +
                             std::to_string(b));
     }
@@ -318,21 +313,14 @@ Status PrinsEngine::write_block_locked(WriteShard& shard, Lba b,
     PooledBuffer old_block = block_pool_.acquire(bs);
     Status step = local_->read(b, old_block.mutable_bytes());
     if (step.is_ok()) step = local_->write(b, new_block);
-    if (!step.is_ok()) {
-      abandon_pending();
-      return step;
-    }
+    if (!step.is_ok()) return step;
     // Fused kernel: one pass produces both P' and its dirty-byte count.
     delta = block_pool_.acquire(bs);
     dirty = xor_to_and_count(delta.mutable_bytes(), new_block,
                              old_block.span());
     delta_span = delta.span();
   } else {
-    const Status wrote = local_->write(b, new_block);
-    if (!wrote.is_ok()) {
-      abandon_pending();
-      return wrote;
-    }
+    PRINS_RETURN_IF_ERROR(local_->write(b, new_block));
   }
   return replicate_block(shard, b, new_block, delta_span, dirty);
 }
@@ -383,9 +371,7 @@ Status PrinsEngine::replicate_block(WriteShard& shard, Lba lba,
   }
 
   if (config_.keep_trap_log) {
-    const Status appended = trap_log_.append(lba, msg.timestamp_us, delta);
-    drop_pending();
-    PRINS_RETURN_IF_ERROR(appended);
+    PRINS_RETURN_IF_ERROR(trap_log_.append(lba, msg.timestamp_us, delta));
   }
   // Publish into the conflict window BEFORE the outboxes see the write:
   // a reader must never classify this lba conflict-free while the write
@@ -505,10 +491,10 @@ Status PrinsEngine::distribute(const ReplicationMessage& meta,
   // The message is now visible to the watermark bookkeeping in this
   // critical section (last_distributed_seq_ above, outstanding_ below), so
   // the pre-sequence floor slot has done its job.  Clearing it here — while
-  // mutex_ is still held — lets the ack_watermark_locked() calls below
+  // mutex_ is still held — lets the ack_watermark_locked() call below
   // advance the read floor over a write that completes instantly (no
-  // replicas, or a heal-skip on every link); the SubmitSlot destructor's
-  // store(0) stays as an idempotent backstop for early-error returns.
+  // replicas); the SubmitSlot destructor's store(0) stays as an idempotent
+  // backstop for early-error returns.
   if (submit_shard != nullptr) {
     submit_shard->submitting_seq.store(0, std::memory_order_seq_cst);
   }
@@ -538,11 +524,6 @@ Status PrinsEngine::distribute(const ReplicationMessage& meta,
     append_to_outbox_locked(*link, meta, payload, raw, coalescable);
     schedule_pump_locked(link.get());
   }
-  // The message may have completed instantly on every link (heal-skip
-  // fast path); keep the journal watermark moving in that case.
-  const std::uint64_t watermark = ack_watermark_locked();
-  lock.unlock();
-  advance_journal_watermark(watermark);
   return Status::ok();
 }
 
@@ -551,16 +532,6 @@ void PrinsEngine::append_to_outbox_locked(ReplicaLink& link,
                                           const PooledBuffer& payload,
                                           const PooledBuffer& raw,
                                           bool coalescable) {
-  if (meta.kind == MessageKind::kWrite &&
-      meta.timestamp_us <= link.skip_below_ts) {
-    // A pending (or completed) heal's fold already carries this write for
-    // this link; queueing it too would deliver the delta twice (and XOR
-    // twice is an undo).
-    OutMessage skipped;
-    skipped.first_covered = meta.sequence;
-    complete_locked(skipped, /*acked=*/true);
-    return;
-  }
   if (coalescable) {
     const auto it = link.fold_slots.find(meta.lba);
     if (it != link.fold_slots.end()) {
@@ -692,21 +663,6 @@ void PrinsEngine::advance_journal_watermark(std::uint64_t sequence) {
   journal_marked_ = sequence;
 }
 
-std::chrono::steady_clock::duration PrinsEngine::retry_delay(
-    ReplicaLink& link, std::size_t attempt) {
-  const RetryPolicy& r = config_.retry;
-  double ms = static_cast<double>(r.base_backoff.count()) *
-              std::pow(r.multiplier, static_cast<double>(
-                                         std::min<std::size_t>(attempt, 30)) -
-                                         1.0);
-  ms = std::min(ms, static_cast<double>(r.max_backoff.count()));
-  // ±25% jitter decorrelates simultaneous retries across links.
-  ms *= 0.75 + 0.5 * link.jitter.next_double();
-  if (ms <= 0.0) ms = 0.0;
-  return std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-      std::chrono::duration<double, std::milli>(ms));
-}
-
 Status PrinsEngine::send_entry_locked(ReplicaLink& link, OutMessage& entry) {
   if (entry.needs_encode) {
     // This entry absorbed folds; rebuild its frame once, here, on this
@@ -730,8 +686,8 @@ void PrinsEngine::convert_to_repair_locked(OutMessage& entry) {
   }
   if (!config_.keep_trap_log) {
     // Without delta history we cannot reconstruct the block as of this
-    // entry's timestamp; let the retry loop exhaust and the heal (full
-    // resync) take over.
+    // entry's timestamp; let the retry loop exhaust and the link fail
+    // sticky (a link without the trap log is not healable).
     return;
   }
   // A same-block write between the device and the trap log would make the
@@ -769,19 +725,14 @@ void PrinsEngine::convert_to_repair_locked(OutMessage& entry) {
 
 void PrinsEngine::heal_failed(ReplicaLink* link, const Status& why) {
   const RetryPolicy& r = config_.retry;
+  constexpr std::chrono::milliseconds kFloor{1};
   std::lock_guard lock(mutex_);
   link->heal_failures += 1;
-  const double base =
-      std::max<double>(1.0, static_cast<double>(r.base_backoff.count()));
-  double ms = base * std::pow(r.multiplier,
-                              static_cast<double>(std::min<std::uint32_t>(
-                                  link->heal_failures - 1, 30)));
-  ms = std::min(
-      ms, std::max<double>(1.0, static_cast<double>(r.max_backoff.count())));
-  ms *= 0.75 + 0.5 * link->jitter.next_double();
-  link->next_heal = std::chrono::steady_clock::now() +
-                    std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-                        std::chrono::duration<double, std::milli>(ms));
+  link->next_heal =
+      std::chrono::steady_clock::now() +
+      backoff_delay(std::max(r.base_backoff, kFloor),
+                    std::max(r.max_backoff, kFloor), r.multiplier,
+                    link->heal_failures, link->jitter);
   PRINS_LOG(kWarn) << "self-heal of replica " << link->index
                    << " failed (attempt " << link->heal_failures
                    << "): " << why.to_string();
@@ -803,101 +754,6 @@ Status PrinsEngine::hello_locked(ReplicaLink& link,
   return Status::ok();
 }
 
-Status PrinsEngine::build_resync_locked(ReplicaLink& link,
-                                        std::uint64_t replica_ts) {
-  // Fold base: whichever of our acked watermark and the replica's own
-  // applied position is newer (acks lost in the outage leave ours stale;
-  // folding from a stale base would re-apply — i.e. undo — those writes).
-  const std::uint64_t since =
-      std::max(link.acked_timestamp.load(std::memory_order_relaxed),
-               replica_ts);
-  std::uint64_t until = 0;
-  {
-    std::unique_lock lock(mutex_);
-    // Every timestamped write must be in the trap log before we pick the
-    // window, or the fold would silently miss it.  The single load of
-    // clock_state_ gives an atomic (pending == 0, clock == K) snapshot;
-    // writers do not signal the cv, so poll on a short timeout.
-    for (;;) {
-      if (stopping_.load(std::memory_order_relaxed)) {
-        return unavailable("engine is shutting down");
-      }
-      const std::uint64_t state =
-          clock_state_.load(std::memory_order_seq_cst);
-      if ((state & ~kClockMask) == 0) {
-        until = state & kClockMask;
-        break;
-      }
-      queue_cv_.wait_for(lock, std::chrono::microseconds(200));
-    }
-    for (const OutMessage& item : link.outbox) {
-      if (item.meta.kind != MessageKind::kWrite) {
-        return failed_precondition(
-            "non-write traffic queued for this link; heal deferred");
-      }
-    }
-    // The fold carries everything this link has queued (all entries bear
-    // timestamps <= until): complete them here and let the fold deliver
-    // their bytes.  From now on, late-arriving entries at or below `until`
-    // complete on sight (append_to_outbox_locked).
-    for (OutMessage& item : link.outbox) complete_locked(item, true);
-    link.outbox.clear();
-    link.fold_slots.clear();
-    link.skip_below_ts = until;
-    queue_cv_.notify_all();  // producers blocked on outbox capacity
-  }
-  if (until <= since) {
-    link.resync_upto = std::max(since, until);
-    return Status::ok();  // nothing missed
-  }
-
-  // Build into a scratch set and commit only when complete: a fold failure
-  // partway must not leave a partial set that a resumed heal would ship as
-  // if it were the whole outage.
-  std::deque<ResyncFrame> frames;
-  const std::uint32_t bs = block_size();
-  for (Lba lba : trap_log_.blocks_changed_in(since, until)) {
-    auto fold = trap_log_.fold_range(lba, since, until, bs);
-    if (!fold.is_ok()) {
-      if (fold.status().code() == ErrorCode::kFailedPrecondition) {
-        // Trap history for the outage window was compacted or truncated
-        // away.  The fold is unreconstructible: stop healing and force the
-        // journal to keep everything for an operator-driven recovery.
-        std::lock_guard lock(mutex_);
-        link.unhealable = true;
-        journal_frozen_ = true;
-        // The degraded window suppressed the sticky error on the promise
-        // the heal would deliver; that promise is now broken.
-        if (worker_error_.is_ok()) worker_error_ = fold.status();
-        queue_cv_.notify_all();
-        // The link just left the healable state: drain() waiters must wake
-        // and surface the sticky error instead of waiting on a heal that
-        // will never come.
-        if (idle_locked()) drain_cv_.notify_all();
-        PRINS_LOG(kError)
-            << "replica " << link.index
-            << " is unhealable (trap history lost); run verify_and_repair";
-      }
-      return fold.status();
-    }
-    if (all_zero(*fold)) continue;  // missed writes cancelled out
-
-    ReplicationMessage msg;
-    msg.kind = MessageKind::kWrite;
-    msg.policy = ReplicationPolicy::kPrinsRle;
-    msg.cluster_epoch = config_.cluster_epoch;
-    msg.block_size = bs;
-    msg.lba = lba;
-    msg.timestamp_us = until;
-    msg.payload = encode_frame(codec_for(CodecId::kZeroRle), *fold);
-    msg.sequence = next_sequence_.fetch_add(1, std::memory_order_relaxed);
-    frames.push_back(ResyncFrame{msg.sequence, msg.encode()});
-  }
-  link.resync_wire = std::move(frames);
-  link.resync_upto = until;
-  return Status::ok();
-}
-
 void PrinsEngine::attempt_heal(ReplicaLink* link) {
   std::lock_guard link_lock(link->mutex);
 
@@ -914,69 +770,45 @@ void PrinsEngine::attempt_heal(ReplicaLink* link) {
     metrics_.reconnects += 1;
   }
 
-  // 2. Where is the replica really?  (Its applied position can be ahead
-  // of our acked watermark when acks were lost in the outage.)
+  // 2. Is the replica there, and does it still take our epoch?  A
+  // kStaleEpoch NAK fences the engine and ends the heal.
   std::uint64_t replica_ts = 0;
   if (Status s = hello_locked(*link, replica_ts); !s.is_ok()) {
     return heal_failed(link, s);
   }
 
-  // 3. Build the folded catch-up set — unless the link lost nothing (a
-  // connection loss keeps its open round, which the rejoin retransmits) or
-  // an interrupted heal left one to resume (resending the same sequences
-  // is safe: replica dedup).
-  if (link->round.empty() && link->resync_wire.empty()) {
-    if (Status s = build_resync_locked(*link, replica_ts); !s.is_ok()) {
-      return heal_failed(link, s);
-    }
-  }
-
-  // 4. Ship it, one exchange per stale block.
-  while (!link->resync_wire.empty()) {
-    {
-      std::lock_guard lock(mutex_);
-      if (stopping_) return;
-    }
-    const ResyncFrame& frame = link->resync_wire.front();
-    // A kStaleEpoch NAK (a promoted successor owns these blocks now) has
-    // already fenced the engine; the failure abandons the heal.
-    if (Status s = send_and_ack_locked(*link, frame.wire, frame.sequence);
-        !s.is_ok()) {
-      return heal_failed(link, s);
-    }
-    link->resync_wire.pop_front();
-  }
-
-  // 5. Healed: rejoin the steady-state path.
+  // 3. Healed.  rejoin_link retransmits the open round and pumps the
+  // outbox on the fresh connection; the replica's sequence dedup absorbs
+  // whatever already landed.
   std::uint64_t watermark = 0;
   {
     std::lock_guard lock(mutex_);
     link->failed = false;
     link->heal_failures = 0;
-    if (link->resync_upto >
-        link->acked_timestamp.load(std::memory_order_relaxed)) {
-      link->acked_timestamp.store(link->resync_upto,
-                                  std::memory_order_relaxed);
-    }
     metrics_.auto_resyncs += 1;
-    bool any_failed = false;
-    for (const auto& r : replicas_) any_failed |= r->failed;
-    if (!any_failed) {
-      // Every link is caught up: writes the outage marked undeliverable
-      // have now arrived via the folds, so the sticky error and the
-      // journal freeze have nothing left to guard.
-      worker_error_ = Status::ok();
-      for (auto& [seq, pending] : outstanding_) pending.dropped = false;
-      journal_frozen_ = false;
-    }
+    release_if_all_live_locked(/*clear_error=*/true,
+                               /*unfreeze_journal=*/true);
     watermark = ack_watermark_locked();
     if (idle_locked()) drain_cv_.notify_all();
     queue_cv_.notify_all();
   }
   advance_journal_watermark(watermark);
-  PRINS_LOG(kInfo) << "replica " << link->index
-                   << " self-healed (resynced through ts="
-                   << link->resync_upto << ")";
+  PRINS_LOG(kInfo) << "replica " << link->index << " self-healed";
+}
+
+bool PrinsEngine::release_if_all_live_locked(bool clear_error,
+                                             bool unfreeze_journal) {
+  for (const auto& r : replicas_) {
+    if (r->failed) return false;
+  }
+  if (clear_error) worker_error_ = Status::ok();
+  if (unfreeze_journal) {
+    // Writes a failure marked undelivered have since arrived, so the
+    // journal freeze has nothing left to guard.
+    for (auto& [seq, pending] : outstanding_) pending.dropped = false;
+    journal_frozen_ = false;
+  }
+  return true;
 }
 
 // ---- Event-driven sender ----------------------------------------------------
@@ -1070,7 +902,7 @@ void PrinsEngine::pump_link(ReplicaLink* link) {
   link->pump_scheduled = false;
   if (stopping_.load(std::memory_order_relaxed)) return;
   if (link->failed) {
-    if (healable_locked(*link)) return;  // the heal delivers the queue
+    if (healable_locked(*link)) return;  // held for the healed link
     // Sticky, non-healable failure: drop queued traffic so producers and
     // drain() never block behind a dead link.
     if (link->outbox.empty()) return;
@@ -1290,32 +1122,9 @@ void PrinsEngine::on_link_timer(ReplicaLink* link) {
   }
 }
 
-bool PrinsEngine::reorders_full_block_locked(const ReplicaLink& link) const {
-  // Whole-block payloads only tolerate in-order redelivery (deltas
-  // commute, full blocks do not).  Cross-LBA gaps are fine — the replica
-  // stripes its apply workers by LBA, so unrelated blocks ack out of order
-  // by design.
-  if (ships_parity(config_.policy)) return false;
-  for (std::size_t i = 0; i < link.round.size(); ++i) {
-    if (link.round_acked[i]) continue;
-    for (std::size_t j = i + 1; j < link.round.size(); ++j) {
-      if (link.round_acked[j] &&
-          link.round[j].meta.lba == link.round[i].meta.lba) {
-        return true;
-      }
-    }
-  }
-  return false;
-}
-
 void PrinsEngine::round_retry_or_fail(ReplicaLink* link,
                                       std::unique_lock<std::mutex>& lock,
                                       const Status& why) {
-  if (reorders_full_block_locked(*link)) {
-    lock.unlock();
-    fail_round(link, full_block_reorder());
-    return;
-  }
   link->round_attempt =
       link->round_progress ? 1 : link->round_attempt + 1;
   link->round_progress = false;
@@ -1327,24 +1136,19 @@ void PrinsEngine::round_retry_or_fail(ReplicaLink* link,
   metrics_.retries += 1;
   link->phase = ReplicaLink::Phase::kBackoff;
   cancel_link_timer_locked(link);  // an op_timeout may still be ticking
-  arm_link_timer_locked(link,
-                        std::chrono::steady_clock::now() +
-                            retry_delay(*link, link->round_attempt));
+  const RetryPolicy& r = config_.retry;
+  arm_link_timer_locked(
+      link, std::chrono::steady_clock::now() +
+                backoff_delay(r.base_backoff, r.max_backoff, r.multiplier,
+                              link->round_attempt, link->jitter));
   lock.unlock();
 }
 
 void PrinsEngine::resend_round(ReplicaLink* link) {
   {
-    std::unique_lock lock(mutex_);
+    std::lock_guard lock(mutex_);
     if (stopping_.load(std::memory_order_relaxed) || link->failed ||
         link->round.empty()) {
-      return;
-    }
-    // Acks keep settling entries during the backoff, after
-    // round_retry_or_fail looked.
-    if (reorders_full_block_locked(*link)) {
-      lock.unlock();
-      fail_round(link, full_block_reorder());
       return;
     }
     link->phase = ReplicaLink::Phase::kAwaitingAcks;
@@ -1391,25 +1195,11 @@ void PrinsEngine::fail_round(ReplicaLink* link, const Status& why) {
     cancel_link_timer_locked(link);
     link->failed = true;
     link->next_heal = std::chrono::steady_clock::now();
-    // A lost connection loses no traffic: the heal reconnects and
-    // retransmits the open round (replica dedup absorbs what already
-    // landed), so the round stays open.  Otherwise the round is settled
-    // here.  A heal's fold can re-deliver kWrite traffic, so an all-write
-    // round failing on a healable link is *degraded*, not broken: keep
-    // accepting writes and let the heal catch up.  Any other kind has no
-    // second delivery path, and a round that reorders a full block can be
-    // neither replayed nor folded: both fail sticky.
-    const bool connection_loss = why.code() == ErrorCode::kUnavailable ||
-                                 why.code() == ErrorCode::kIoError;
-    bool degraded =
-        healable_locked(*link) && !reorders_full_block_locked(*link);
-    if (!connection_loss || !degraded) {
-      for (const OutMessage& entry : link->round) {
-        degraded &= entry.meta.kind == MessageKind::kWrite;
-      }
-      close_round_locked(*link);
-    }
-    if (degraded) {
+    // On a healable link the failure is *degraded*, not broken: the round
+    // stays open and writes keep queueing, and the heal reconnects and
+    // replays both (the replica's sequence dedup absorbs what already
+    // landed).  Otherwise the round is settled here as dropped.
+    if (healable_locked(*link)) {
       PRINS_LOG(kWarn) << "replica " << link->index
                        << " degraded; self-heal scheduled: "
                        << why.to_string();
@@ -1417,6 +1207,7 @@ void PrinsEngine::fail_round(ReplicaLink* link, const Status& why) {
       link->healing.store(true, std::memory_order_relaxed);
       spawn_heal = true;
     } else {
+      close_round_locked(*link);
       link->phase = ReplicaLink::Phase::kIdle;
       // No heal runs for this failure, so the link must not look healable
       // either: drain() would wait for the heal, and the pump would hold
@@ -1461,8 +1252,8 @@ void PrinsEngine::heal_main(ReplicaLink* link) {
       }
       if (!healable_locked(*link)) break;  // healed, reattached, unhealable
     }
-    // attempt_heal's hello/resync exchanges use blocking recv() on the
-    // fresh transport — valid here because no message handler is
+    // attempt_heal's hello exchange uses blocking recv() on the fresh
+    // transport — valid here because no message handler is
     // installed on it yet.
     attempt_heal(link);
   }
@@ -1477,9 +1268,9 @@ void PrinsEngine::rejoin_link(ReplicaLink* link) {
   queue_cv_.notify_all();  // begin_link_exclusive may be parked on the phase
   if (stopping_.load(std::memory_order_relaxed)) return;
   if (link->failed) {
-    // Unhealable: drop the open round and queued traffic so producers and
-    // drain() move on; reattach_replica re-arms the handlers when the
-    // operator intervenes.
+    // Fenced during the heal: drop the open round and queued traffic so
+    // producers and drain() move on; reattach_replica re-arms the handlers
+    // when the operator intervenes.
     close_round_locked(*link);
     schedule_pump_locked(link);
     const std::uint64_t watermark = ack_watermark_locked();
@@ -1496,9 +1287,11 @@ void PrinsEngine::resume_link(ReplicaLink* link) {
   install_link_handlers(link);
   std::lock_guard lock(mutex_);
   if (!link->round.empty()) {
-    // A round was open when the old transport died: retransmit its
-    // un-acked entries on the fresh one (replica dedup absorbs overlap).
-    // An immediate wheel timer reuses the kBackoff resend path.
+    // A round was open when the old transport failed: retransmit its
+    // un-acked entries on the fresh one (replica dedup absorbs overlap),
+    // with a fresh retry budget.  An immediate wheel timer reuses the
+    // kBackoff resend path.
+    link->round_attempt = 0;
     link->phase = ReplicaLink::Phase::kBackoff;
     arm_link_timer_locked(link, std::chrono::steady_clock::now());
   } else {
@@ -1657,8 +1450,7 @@ Status PrinsEngine::enqueue_sync_block(Lba lba, const Codec& codec,
   msg.sequence = next_sequence_.fetch_add(1, std::memory_order_seq_cst);
   slot.tighten(msg.sequence);
   // Sync is not a logical write: read the clock, do not advance it.
-  msg.timestamp_us =
-      clock_state_.load(std::memory_order_seq_cst) & kClockMask;
+  msg.timestamp_us = clock_.load(std::memory_order_seq_cst);
   return enqueue(msg, PooledBuffer::heap(encode_frame(codec, scratch)),
                  PooledBuffer(), &shard);
 }
@@ -1960,20 +1752,8 @@ Status PrinsEngine::replay_journal() {
   // Fast-forward counters past everything ever journaled so new writes do
   // not collide with replayed sequences (CAS-max; replay runs before new
   // writes, but stay safe against concurrent submitters anyway).
-  const std::uint64_t max_seq = config_.journal->max_sequence();
-  std::uint64_t seq = next_sequence_.load(std::memory_order_relaxed);
-  while (seq < max_seq + 1 &&
-         !next_sequence_.compare_exchange_weak(seq, max_seq + 1)) {
-  }
-  std::uint64_t max_ts = 0;
-  for (const auto& msg : pending) {
-    max_ts = std::max(max_ts, msg.timestamp_us);
-  }
-  std::uint64_t state = clock_state_.load(std::memory_order_seq_cst);
-  while ((state & kClockMask) < max_ts &&
-         !clock_state_.compare_exchange_weak(
-             state, (state & ~kClockMask) | max_ts)) {
-  }
+  raise_to(next_sequence_, config_.journal->max_sequence() + 1);
+  for (const auto& msg : pending) raise_to(clock_, msg.timestamp_us);
   for (auto& msg : pending) {
     // The journaled wire bakes in the epoch of the engine that wrote it;
     // ship the replay under *this* engine's epoch, or replicas that already
@@ -2036,8 +1816,7 @@ Result<std::uint64_t> PrinsEngine::resync_replica(std::size_t index) {
     msg.lba = lba;
     msg.payload = encode_frame(codec_for(CodecId::kZeroRle), fold);
     msg.sequence = next_sequence_.fetch_add(1, std::memory_order_relaxed);
-    msg.timestamp_us =
-        clock_state_.load(std::memory_order_seq_cst) & kClockMask;
+    msg.timestamp_us = clock_.load(std::memory_order_seq_cst);
     newest = msg.timestamp_us;
     PRINS_RETURN_IF_ERROR(
         send_and_ack_locked(*link, msg.encode(), msg.sequence));
@@ -2045,19 +1824,14 @@ Result<std::uint64_t> PrinsEngine::resync_replica(std::size_t index) {
   }
   link->acked_timestamp.store(newest, std::memory_order_relaxed);
 
-  // The replica is caught up.  If it was the last straggler, the journal
-  // freeze has nothing left to guard: writes the outage marked dropped
-  // have all been delivered through the fold, so release the watermark
-  // (it would otherwise stay frozen for the life of the engine and the
-  // journal would grow without bound).
+  // The replica is caught up.  If it was the last straggler, release the
+  // journal watermark (it would otherwise stay frozen for the life of the
+  // engine and the journal would grow without bound).
   std::uint64_t watermark = 0;
   {
     std::lock_guard lock(mutex_);
-    bool any_failed = false;
-    for (const auto& r : replicas_) any_failed |= r->failed;
-    if (!any_failed) {
-      for (auto& [seq, pending] : outstanding_) pending.dropped = false;
-      journal_frozen_ = false;
+    if (release_if_all_live_locked(/*clear_error=*/false,
+                                   /*unfreeze_journal=*/true)) {
       watermark = ack_watermark_locked();
     }
   }
@@ -2079,15 +1853,8 @@ Status PrinsEngine::adopt_recovered_state(std::uint64_t next_sequence,
   }
   // CAS-max both counters: a journal replay that ran first keeps whichever
   // seed is larger, so replayed and recovered sequences never collide.
-  std::uint64_t seq = next_sequence_.load(std::memory_order_relaxed);
-  while (seq < next_sequence &&
-         !next_sequence_.compare_exchange_weak(seq, next_sequence)) {
-  }
-  std::uint64_t state = clock_state_.load(std::memory_order_seq_cst);
-  while ((state & kClockMask) < applied_timestamp_us &&
-         !clock_state_.compare_exchange_weak(
-             state, (state & ~kClockMask) | applied_timestamp_us)) {
-  }
+  raise_to(next_sequence_, next_sequence);
+  raise_to(clock_, applied_timestamp_us);
   // The replica's CDP history becomes ours: resync_replica() folds it to
   // catch survivors up to everything the dead primary shipped us.
   recovered_trap_log.move_into(trap_log_);

@@ -70,12 +70,12 @@ using TransportFactory =
 
 /// How a sender reacts to link trouble.  Transient errors (reply timeout,
 /// torn reply, replica NAK) retransmit the un-acked window with exponential
-/// backoff + jitter.  A lost connection keeps the round open for the
-/// self-heal (see EngineConfig::reconnect), which retransmits it on a fresh
-/// connection, or else is a sticky failure.  Sequence dedup at the replica
-/// makes every retransmission safe.  Blocking operator exchanges (verify, resync,
-/// fetch, the heal's hello) bound each reply wait by op_timeout too and
-/// resend up to max_attempts times.
+/// backoff + jitter.  A lost connection or exhausted retries keep the round
+/// open for the self-heal (see EngineConfig::reconnect), which replays it on
+/// a fresh connection, or else are a sticky failure.  Sequence dedup at the
+/// replica makes every retransmission safe.  Blocking operator exchanges
+/// (verify, resync, fetch, the heal's hello) bound each reply wait by
+/// op_timeout too and resend up to max_attempts times.
 struct RetryPolicy {
   /// Consecutive no-progress attempts before the link is declared failed.
   std::size_t max_attempts = 5;
@@ -111,7 +111,9 @@ struct EngineConfig {
   /// Keep a primary-side TrapLog of every write's parity delta.  Enables
   /// resync_replica(): after a link outage, ship each stale block ONE
   /// folded delta (XOR of everything it missed) instead of checksum-
-  /// scanning the device.  Costs memory proportional to bytes changed.
+  /// scanning the device.  Also what lets a replica's kNeedFullBlock NAK be
+  /// answered, so the self-heal requires it.  Costs memory proportional to
+  /// bytes changed.
   bool keep_trap_log = false;
   /// Crash durability: every replication message is appended (fsync'd)
   /// to this journal before queueing, and fully-acknowledged sequences
@@ -122,14 +124,13 @@ struct EngineConfig {
   /// errors a few times and otherwise behave like the pre-retry engine.
   RetryPolicy retry;
   /// Reconnect callback for the self-heal.  With keep_trap_log, a link
-  /// whose connection dies or whose retries run out on write traffic
-  /// becomes *degraded*, a state the engine exits on its own: a transient
-  /// heal thread reconnects through this factory and asks the replica
-  /// where it is (kHello).  After a lost connection it then retransmits
-  /// the open round; after exhausted retries it folds the parity log over
-  /// the outage window, resyncs the replica, and unfreezes the journal
-  /// watermark.  Null (default), or without keep_trap_log: a link failure
-  /// is sticky, resolved by the operator (reattach_replica +
+  /// whose connection dies or whose retries run out becomes *degraded*, a
+  /// state the engine exits on its own: the open round stays open and new
+  /// writes queue behind it, and a transient heal thread reconnects through
+  /// this factory and checks the replica still takes this engine's epoch
+  /// (kHello).  The link then replays the open round and pumps its outbox
+  /// on the fresh connection.  Null (default), or without keep_trap_log: a
+  /// link failure is sticky, resolved by the operator (reattach_replica +
   /// resync_replica).  A reconnect whose transport hides its
   /// HandlerTransport fails that heal attempt.
   TransportFactory reconnect;
@@ -420,13 +421,6 @@ class PrinsEngine final : public BlockDevice {
     std::size_t covered_count() const { return 1 + extra_covered.size(); }
   };
 
-  /// One heal message awaiting delivery: a resumed heal resends the same
-  /// wire bytes (same sequence), so the replica's dedup absorbs overlap.
-  struct ResyncFrame {
-    std::uint64_t sequence;
-    Bytes wire;
-  };
-
   struct ReplicaLink {
     /// Delivers through a HandlerTransport (under any decorators), bound
     /// to its loop where the link entered.
@@ -447,15 +441,12 @@ class PrinsEngine final : public BlockDevice {
     std::uint64_t first_slot = 0;  // absolute slot id of outbox.front()
     std::size_t in_flight = 0;     // popped but not yet completed
     bool failed = false;   // sticky until reattach_replica() or a heal
-    bool unhealable = false;  // trap history gone; operator repair needed
-    /// kWrite entries at or below this timestamp are covered by a heal's
-    /// fold and complete immediately instead of queueing.
-    std::uint64_t skip_below_ts = 0;
+    /// No heal will run (fenced, or a failure the link cannot heal from);
+    /// operator repair needed.
+    bool unhealable = false;
 
     // Heal state touched only by this link's heal thread (and by
     // reattach_replica under `mutex`).
-    std::deque<ResyncFrame> resync_wire;  // un-acked heal messages
-    std::uint64_t resync_upto = 0;        // fold window end of resync_wire
     std::uint32_t heal_failures = 0;
     std::chrono::steady_clock::time_point next_heal{};
 
@@ -580,13 +571,17 @@ class PrinsEngine final : public BlockDevice {
   /// next retry round converts) while a write is mid-flight to the trap
   /// log.  Link mutex must be held.
   void convert_to_repair_locked(OutMessage& entry);
-  /// Degraded-link recovery: reconnect, locate the replica (kHello), and
-  /// unless the open round survived (a lost connection), fold the trap
-  /// log over the outage and ship it.
+  /// Degraded-link recovery: reconnect, check the replica takes our epoch
+  /// (kHello), and mark the link healed; rejoin_link then replays the open
+  /// round and the outbox on the fresh connection.
   void attempt_heal(ReplicaLink* link);
   Status hello_locked(ReplicaLink& link, std::uint64_t& applied_ts);
-  Status build_resync_locked(ReplicaLink& link, std::uint64_t replica_ts);
+  /// Count a failed heal attempt and back the next one off.
   void heal_failed(ReplicaLink* link, const Status& why);
+  /// Once no link is failed, clear the sticky worker error (`clear_error`)
+  /// and/or the dropped marks and journal freeze (`unfreeze_journal`).
+  /// Returns whether every link is live.  mutex_ held.
+  bool release_if_all_live_locked(bool clear_error, bool unfreeze_journal);
   /// React to a kStaleEpoch NAK: a promoted successor owns the cluster
   /// now.  Marks the link unhealable, freezes the journal, sets the sticky
   /// worker error, and returns the kFailedPrecondition status the caller
@@ -665,12 +660,6 @@ class PrinsEngine final : public BlockDevice {
   /// Retransmit the round's un-acked entries after a backoff (link mutex
   /// held, engine mutex not held).
   void resend_round(ReplicaLink* link);
-  /// Under a full-block policy, an un-acked entry of the open round sits
-  /// behind an acked same-LBA successor.  Retransmitting it would overwrite
-  /// the newer block, and a fold from the acked watermark would skip it
-  /// (and any other un-acked entry below that watermark), so neither heal
-  /// is safe.  mutex_ held.
-  bool reorders_full_block_locked(const ReplicaLink& link) const;
   /// The round came back short: count the attempt and either arm the
   /// backoff timer or fail the round.
   /// Enters with mutex_ held via `lock` (and the link mutex held);
@@ -685,11 +674,10 @@ class PrinsEngine final : public BlockDevice {
   /// watermark, restart the pump.  Enters with mutex_ held via `lock`
   /// (and the link mutex held); releases mutex_.
   void finish_round(ReplicaLink* link, std::unique_lock<std::mutex>& lock);
-  /// The round cannot finish on this connection: classify the failure
-  /// (degraded self-heal vs. sticky error), keeping the round open for
-  /// the heal after a lost connection and settling it otherwise.  A round
-  /// that reorders_full_block_locked() fails sticky.  Link
-  /// mutex held, engine mutex NOT held.
+  /// The round cannot finish on this connection.  On a healable link the
+  /// round stays open for the heal to replay; otherwise it is settled as
+  /// dropped and the link fails sticky.  Link mutex held, engine mutex NOT
+  /// held.
   void fail_round(ReplicaLink* link, const Status& why);
   void arm_link_timer_locked(ReplicaLink* link,
                              std::chrono::steady_clock::time_point deadline);
@@ -711,10 +699,6 @@ class PrinsEngine final : public BlockDevice {
   void end_link_exclusive(ReplicaLink* link);
   /// RAII wrapper over begin/end_link_exclusive.
   class LinkExclusive;
-  /// The exponential-plus-jitter backoff delay before retry `attempt`
-  /// (1-based).  Link mutex must be held (jitter state).
-  std::chrono::steady_clock::duration retry_delay(ReplicaLink& link,
-                                                  std::size_t attempt);
 
   /// Read one block under its stripe lock and enqueue it as a kSyncBlock
   /// (the shared body of full_sync / sync_blocks; does not drain).
@@ -726,7 +710,6 @@ class PrinsEngine final : public BlockDevice {
   void init_shards();
   /// Advance the logical clock by 1µs; returns the new timestamp.
   std::uint64_t clock_tick();
-  void drop_pending();
   WriteShard& shard_for(Lba lba) const {
     return *shards_[static_cast<std::size_t>(lba) & shard_mask_];
   }
@@ -805,17 +788,9 @@ class PrinsEngine final : public BlockDevice {
   std::atomic<std::uint64_t> stale_read_retries_{0};
   std::atomic<std::uint64_t> read_conflicts_local_{0};
 
-  /// Combined logical-clock / pending-append state, mutated with single
-  /// atomic RMWs so heals can snapshot "(no trap appends in flight, clock
-  /// = K)" without a global lock.  Low 48 bits (kClockMask): the logical
-  /// clock, advancing 1µs per replicated write — 2^48 writes is ~8.9 years
-  /// at one per microsecond, so carry into the high bits is not a concern.
-  /// High 16 bits: writes that took a timestamp but have not yet landed in
-  /// the trap log; a heal must not snapshot its fold window while any are
-  /// pending, or the fold would silently miss them.
-  static constexpr std::uint64_t kClockMask = (std::uint64_t{1} << 48) - 1;
-  static constexpr std::uint64_t kPendingOne = std::uint64_t{1} << 48;
-  std::atomic<std::uint64_t> clock_state_{0};
+  /// Logical clock: advances 1µs per replicated write and stamps each
+  /// write's trap-log entry.
+  std::atomic<std::uint64_t> clock_{0};
 
   /// Submit-path acquisitions of mutex_ (see debug_submit_global_lock_count).
   std::atomic<std::uint64_t> submit_global_locks_{0};

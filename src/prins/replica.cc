@@ -302,6 +302,19 @@ Result<ReplicaEngine::ApplyOutcome> ReplicaEngine::apply_write_message(
       metrics_.duplicates_dropped += 1;
       return ApplyOutcome::kApplied;  // ACK again; re-XOR would undo it
     }
+    if (message.kind == MessageKind::kWrite && !ships_parity(message.policy) &&
+        message.sequence != 0) {
+      // A full block older than the newest one applied at its LBA is a
+      // late retransmission: same-LBA sequences rise in write order, so it
+      // is superseded, and writing it would roll the block back.  (Deltas
+      // commute, so they need no such rule.)
+      const auto it = shard.newest_applied.find(message.lba);
+      if (it != shard.newest_applied.end() && message.sequence < it->second) {
+        std::lock_guard metrics_lock(mutex_);
+        metrics_.duplicates_dropped += 1;
+        return ApplyOutcome::kApplied;
+      }
+    }
     Status applied = apply_write_locked(shard, message, &checkpoint_due);
     if (applied.code() == ErrorCode::kCorruption ||
         applied.code() == ErrorCode::kDataCorruption) {

@@ -86,7 +86,8 @@ struct ReplicaMetrics {
   std::uint64_t repairs = 0;
   std::uint64_t verify_requests = 0;
   std::uint64_t bytes_received = 0;   // wire message bytes
-  std::uint64_t duplicates_dropped = 0;  // re-delivered sequences not applied
+  std::uint64_t duplicates_dropped = 0;  // re-delivered or superseded
+                                         //   writes acked, not applied
   std::uint64_t naks_sent = 0;           // corrupt frames bounced back
   std::uint64_t repair_reads_served = 0;  // kReadBlockRequest blocks returned
                                           //   (scrubber repair pulls)
@@ -269,8 +270,9 @@ class ReplicaEngine {
   ReplicaMetrics metrics() const;
 
   /// Newest write timestamp applied to the device (0 before any write).
-  /// Reported in the kHello reply so a healing primary can pick a correct
-  /// trap-log fold base even if its own view of the link went stale.
+  /// Reported in the kHello reply so resync_replica() can pick a correct
+  /// trap-log fold base even if the primary's view of the link went stale,
+  /// and handed to a promoted successor's logical clock.
   std::uint64_t applied_timestamp() const;
 
   /// Resolved apply-worker count (config.apply_shards after auto-sizing).
@@ -301,7 +303,8 @@ class ReplicaEngine {
     std::unordered_set<std::uint64_t> applied_set;
     std::deque<std::uint64_t> applied_fifo;
     std::set<Lba> damaged;  // torn/corrupt blocks; parity cannot apply
-    // Newest applied sequence per LBA, for client-read freshness checks.
+    // Newest applied sequence per LBA, for client-read freshness checks
+    // and for dropping superseded full-block retransmissions.
     // Same-LBA applies are serialized by this shard, so an entry >= the
     // demanded min_sequence proves every same-LBA write at or below it has
     // landed.  One entry per LBA ever written through this shard — bounded

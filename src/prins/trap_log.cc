@@ -172,61 +172,6 @@ std::vector<Lba> TrapLog::blocks_changed_since(std::uint64_t t) const {
   return out;
 }
 
-std::vector<Lba> TrapLog::blocks_changed_in(std::uint64_t after,
-                                            std::uint64_t upto) const {
-  std::lock_guard lock(mutex_);
-  std::vector<Lba> out;
-  for (const auto& [lba, history] : log_) {
-    for (const Entry& e : history.entries) {
-      if (e.timestamp_us > after && e.timestamp_us <= upto) {
-        out.push_back(lba);
-        break;
-      }
-    }
-  }
-  return out;
-}
-
-Result<Bytes> TrapLog::fold_range(Lba lba, std::uint64_t after,
-                                  std::uint64_t upto,
-                                  std::size_t block_size) const {
-  Bytes out(block_size, Byte{0});
-  std::lock_guard lock(mutex_);
-  auto it = log_.find(lba);
-  if (it == log_.end()) return out;
-  const BlockHistory& history = it->second;
-  if (after < history.min_recoverable) {
-    return failed_precondition(
-        "history for block " + std::to_string(lba) +
-        " truncated past fold base " + std::to_string(after));
-  }
-  for (const Entry& e : history.entries) {
-    if (e.timestamp_us <= after) continue;
-    if (e.timestamp_us > upto) {
-      if (e.oldest_timestamp_us <= upto) {
-        // A compacted span straddles the upper boundary.
-        return failed_precondition(
-            "history for block " + std::to_string(lba) +
-            " compacted across fold end " + std::to_string(upto));
-      }
-      break;
-    }
-    if (e.oldest_timestamp_us <= after) {
-      // A compacted span straddles the lower boundary.
-      return failed_precondition(
-          "history for block " + std::to_string(lba) +
-          " compacted across fold base " + std::to_string(after));
-    }
-    PRINS_ASSIGN_OR_RETURN(Bytes delta, decode_frame(e.encoded_delta));
-    if (delta.size() != out.size()) {
-      return corruption("TRAP delta size " + std::to_string(delta.size()) +
-                        " != block size " + std::to_string(out.size()));
-    }
-    xor_into(out, delta);
-  }
-  return out;
-}
-
 namespace {
 constexpr Byte kSnapshotMagic[4] = {'P', 'R', 't', 'l'};
 }  // namespace

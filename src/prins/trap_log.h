@@ -62,22 +62,6 @@ class TrapLog {
   /// replica last synced at `t` needs (drives delta resynchronization).
   std::vector<Lba> blocks_changed_since(std::uint64_t t) const;
 
-  /// Blocks with at least one entry in (after, upto] — the stale set for a
-  /// *bounded* resync window (auto-heal folds only up to its snapshot so
-  /// writes racing the heal aren't double-counted).
-  std::vector<Lba> blocks_changed_in(std::uint64_t after,
-                                     std::uint64_t upto) const;
-
-  /// XOR-fold of every delta for `lba` with timestamp in (after, upto],
-  /// as one raw (decoded) delta of `block_size` bytes.  This is the parity
-  /// a replica consistent at `after` needs to reach `upto`:
-  /// A_upto = A_after ⊕ fold.  All-zero result means "no entries in range"
-  /// (or deltas that cancel — either way the replica needs nothing).
-  /// Fails kFailedPrecondition when truncation/compaction straddles either
-  /// boundary, making the window unreconstructible.
-  Result<Bytes> fold_range(Lba lba, std::uint64_t after, std::uint64_t upto,
-                           std::size_t block_size) const;
-
   /// Persist the whole log to a file (checksummed snapshot).  CDP history
   /// must survive a replica restart to keep its recovery window.
   Status save(const std::string& path) const;

@@ -19,6 +19,7 @@
 #include "net/faulty.h"
 #include "net/reactor_tcp.h"
 #include "net/traffic_meter.h"
+#include "parity/xor.h"
 #include "prins/engine.h"
 #include "prins/replica.h"
 #include "prins/verify.h"
@@ -922,10 +923,9 @@ TEST(EngineTest, HealFailsAnAttemptWhoseLinkHidesItsHandlers) {
 
 TEST(EngineTest, ConnectionLossNeverReplaysAFullBlockOverItsSuccessor) {
   // Full-block policy, a window of 4: write A1 to LBA 5 is lost, its
-  // successor A2 to LBA 5 is acked, then the connection drops.  Replaying
-  // the open round on the healed link would put A1 over A2 at the replica;
-  // folding from the acked watermark would skip A1.  The engine must fail
-  // sticky rather than diverge silently.
+  // successor A2 to LBA 5 is acked, then the connection drops.  The healed
+  // link replays the open round, so A1 reaches the replica after A2; the
+  // replica must see that A1 is superseded and keep A2.
   constexpr Lba kHot = 5;
   auto replica_disk = std::make_shared<MemDisk>(kBlocks, kBs);
   auto replica = std::make_shared<ReplicaEngine>(replica_disk);
@@ -989,10 +989,87 @@ TEST(EngineTest, ConnectionLossNeverReplaysAFullBlockOverItsSuccessor) {
   ASSERT_TRUE(replica_disk->read(kHot, b).is_ok());
   EXPECT_TRUE(!drained.is_ok() || a == b)
       << "the replica silently holds an older block " << kHot;
-  EXPECT_FALSE(drained.is_ok());
-  EXPECT_EQ(engine->metrics().auto_resyncs, 0u);
+  EXPECT_TRUE(drained.is_ok()) << drained.to_string();
+  EXPECT_GE(engine->metrics().auto_resyncs, 1u);
+  for (Lba lba = 0; lba < kBlocks; ++lba) {
+    EXPECT_TRUE(primary->read(lba, a).is_ok());
+    EXPECT_TRUE(replica_disk->read(lba, b).is_ok());
+    EXPECT_EQ(a == b, true) << "volumes differ at lba " << lba;
+  }
   engine.reset();
   shared_listener->close();
+  heal_server.join();
+}
+
+TEST(EngineTest, ExhaustedRetriesReplayAnOlderUnackedWriteOnTheHealedLink) {
+  // One round carries W1 (LBA 1) and W2 (LBA 2).  The first link loses W1,
+  // applies and acks W2, then goes silent, so the retries run out with the
+  // older write un-acked behind a newer acked one (what out-of-order acks
+  // from a striped replica look like).  The healed link must still deliver
+  // W1: a catch-up that starts from the newest acked write would skip it.
+  auto replica_disk = std::make_shared<MemDisk>(kBlocks, kBs);
+  auto replica = std::make_shared<ReplicaEngine>(replica_disk);
+  InprocNetwork network;
+  auto listener_or = network.listen("replica");
+  ASSERT_TRUE(listener_or.is_ok());
+  auto listener = std::shared_ptr<Listener>(std::move(*listener_or));
+  std::thread heal_server = replica_serve_in_background(replica, listener);
+
+  auto primary = std::make_shared<MemDisk>(kBlocks, kBs);
+  EngineConfig config;
+  config.policy = ReplicationPolicy::kPrins;
+  config.pipeline_depth = 4;
+  config.keep_trap_log = true;
+  config.retry.max_attempts = 1;
+  config.retry.base_backoff = std::chrono::milliseconds(1);
+  config.retry.max_backoff = std::chrono::milliseconds(5);
+  config.retry.op_timeout = std::chrono::milliseconds(50);
+  config.reconnect = [&](std::size_t) { return network.connect("replica"); };
+  auto engine = std::make_unique<PrinsEngine>(primary, config);
+
+  // The first link holds W0's ack until W1 and W2 are queued behind it, so
+  // those two share the next round.
+  auto [primary_end, replica_end] = make_inproc_pair();
+  std::promise<void> first_sent;
+  std::promise<void> pair_queued;
+  std::shared_future<void> queued = pair_queued.get_future().share();
+  std::thread first_link([&, t = std::move(replica_end)] {
+    int writes = 0;
+    for (;;) {
+      auto wire = t->recv();
+      if (!wire.is_ok()) return;  // the heal closed this link
+      auto request = ReplicationMessage::decode(*wire);
+      ASSERT_TRUE(request.is_ok());
+      ++writes;
+      if (writes == 1) {
+        first_sent.set_value();
+        queued.wait();
+      }
+      if (writes == 2 || writes > 3) continue;  // W1 lost, then silence
+      auto reply = replica->apply(*request);
+      ASSERT_TRUE(reply.is_ok()) << reply.status().to_string();
+      ASSERT_TRUE(t->send(reply->encode()).is_ok());
+    }
+  });
+  engine->add_replica(std::move(primary_end));
+
+  ASSERT_TRUE(engine->write(0, random_block(1600)).is_ok());
+  first_sent.get_future().wait();
+  ASSERT_TRUE(engine->write(1, random_block(1601)).is_ok());
+  ASSERT_TRUE(engine->write(2, random_block(1602)).is_ok());
+  pair_queued.set_value();
+
+  EXPECT_TRUE(engine->drain().is_ok());
+  Bytes a(kBs), b(kBs);
+  for (Lba lba = 0; lba < kBlocks; ++lba) {
+    EXPECT_TRUE(primary->read(lba, a).is_ok());
+    EXPECT_TRUE(replica_disk->read(lba, b).is_ok());
+    EXPECT_EQ(a == b, true) << "the healed replica misses lba " << lba;
+  }
+  EXPECT_GE(engine->metrics().auto_resyncs, 1u);
+  engine.reset();
+  first_link.join();
+  listener->close();
   heal_server.join();
 }
 
@@ -1473,6 +1550,61 @@ TEST(ReplicaEngineTest, BarrierAcksWithoutWriting) {
   EXPECT_EQ(ack->kind, MessageKind::kAck);
   EXPECT_EQ(ack->sequence, 77u);
   EXPECT_EQ(replica.metrics().writes_applied, 0u);
+}
+
+ReplicationMessage write_of(ReplicationPolicy policy, Lba lba,
+                            std::uint64_t sequence, const Bytes& payload) {
+  ReplicationMessage msg;
+  msg.kind = MessageKind::kWrite;
+  msg.policy = policy;
+  msg.block_size = kBs;
+  msg.lba = lba;
+  msg.sequence = sequence;
+  msg.timestamp_us = sequence;
+  msg.payload = encode_frame(payload_codec(policy), payload);
+  return msg;
+}
+
+TEST(ReplicaEngineTest, SupersededFullBlockIsAckedNotWritten) {
+  // A full block older than the one already applied at its LBA is a late
+  // retransmission: writing it would roll the block back.
+  auto disk = std::make_shared<MemDisk>(8, kBs);
+  ReplicaEngine replica(disk);
+  const Bytes newer = random_block(7);
+  const Bytes older = random_block(5);
+  for (const auto& [sequence, block] :
+       {std::pair{7u, newer}, std::pair{5u, older}}) {
+    auto ack = replica.apply(
+        write_of(ReplicationPolicy::kTraditional, 3, sequence, block));
+    ASSERT_TRUE(ack.is_ok());
+    EXPECT_EQ(ack->kind, MessageKind::kAck);
+    EXPECT_EQ(ack->sequence, sequence);
+  }
+  Bytes out(kBs);
+  ASSERT_TRUE(disk->read(3, out).is_ok());
+  EXPECT_EQ(out, newer);
+  EXPECT_EQ(replica.metrics().duplicates_dropped, 1u);
+}
+
+TEST(ReplicaEngineTest, OutOfOrderParityDeltasToOneBlockBothLand) {
+  // Deltas commute, so an older delta arriving after a newer one to the
+  // same LBA still applies.
+  auto disk = std::make_shared<MemDisk>(8, kBs);
+  ReplicaEngine replica(disk);
+  const Bytes d1 = random_block(5);
+  const Bytes d2 = random_block(7);
+  for (const auto& [sequence, delta] : {std::pair{7u, d2}, std::pair{5u, d1}}) {
+    auto ack =
+        replica.apply(write_of(ReplicationPolicy::kPrins, 3, sequence, delta));
+    ASSERT_TRUE(ack.is_ok());
+    EXPECT_EQ(ack->kind, MessageKind::kAck);
+  }
+  Bytes expected = d1;
+  xor_into(expected, d2);
+  Bytes out(kBs);
+  ASSERT_TRUE(disk->read(3, out).is_ok());
+  EXPECT_EQ(out, expected);
+  EXPECT_EQ(replica.metrics().duplicates_dropped, 0u);
 }
 
 }  // namespace

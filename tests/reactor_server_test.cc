@@ -277,7 +277,7 @@ TEST(ReactorReplicaServerTest, FaultStormThroughWrappedTransportHeals) {
   // injector with the reactor path: the FIRST accepted connection's reply
   // stream is corrupted and then hard-cut mid-stream, later connections
   // (the primary's reconnects) are clean.  The primary's heal machinery —
-  // reconnect factory plus trap-log fold — must converge the replica
+  // reconnect factory plus replay — must converge the replica
   // anyway, proving faults on a decorated reactor transport behave like
   // faults on a blocking one.
   constexpr std::uint32_t kBs = 1024;

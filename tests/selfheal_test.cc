@@ -500,7 +500,7 @@ TEST(SelfHealSoakTest, PipelinedReplicaRetiresEveryWriteAcrossDisconnect) {
 TEST(SelfHealSoakTest, DegradedLinkHealsOnceTheFactoryRecovers) {
   // Retries exhaust (the reconnect factory itself is down for a while), the
   // link enters the degraded state, and the engine still converges with no
-  // reattach_replica call anywhere: reconnect + kHello + trap-log fold.
+  // reattach_replica call anywhere: reconnect + kHello + replay.
   InprocNetwork network;
   auto disk = std::make_shared<MemDisk>(kBlocks, kBs);
   auto replica = std::make_shared<ReplicaEngine>(disk);
