@@ -1,10 +1,12 @@
 #include "common/env.h"
 
+#include <algorithm>
 #include <cctype>
 #include <cerrno>
 #include <cstdlib>
 #include <cstring>
 #include <string>
+#include <thread>
 
 #include "common/logging.h"
 
@@ -49,6 +51,15 @@ std::optional<std::size_t> parse_env_size(const char* name,
     return max_value;
   }
   return static_cast<std::size_t>(value);
+}
+
+std::size_t resolve_shard_count(std::size_t requested, std::size_t max_shards) {
+  std::size_t n = requested;
+  if (n == 0) n = std::thread::hardware_concurrency();
+  n = std::clamp<std::size_t>(n, 1, max_shards);
+  std::size_t pow2 = 1;
+  while (pow2 < n) pow2 <<= 1;
+  return pow2;
 }
 
 }  // namespace prins

@@ -1,7 +1,9 @@
-// Validated parsing of numeric environment knobs.
+// Sizing helpers: validated parsing of numeric environment knobs, and the
+// shard-count rule the engine's submit stripes and the replica's apply
+// workers share.
 //
-// Every PRINS_* sizing knob (reactor threads, apply shards, write shards)
-// shares the same contract: unset means "auto", a positive integer is a
+// Every PRINS_* sizing knob (reactor threads, epoch, PG count) shares the
+// same contract: unset means "auto", a positive integer is a
 // request, and anything else — garbage, an empty string, zero, a negative
 // number, or a value past the documented ceiling — must NOT silently turn
 // into a surprise (strtoul happily wraps "-4" to 2^64-4, which a clamp then
@@ -29,5 +31,10 @@ namespace prins {
 std::optional<std::size_t> parse_env_size(const char* name,
                                           std::size_t min_value,
                                           std::size_t max_value);
+
+/// Resolve a shard-count request: 0 means the hardware thread count; the
+/// result is clamped to [1, max_shards] and rounded up to a power of two
+/// (so a stripe is `lba & (n - 1)`).  `max_shards` must be a power of two.
+std::size_t resolve_shard_count(std::size_t requested, std::size_t max_shards);
 
 }  // namespace prins

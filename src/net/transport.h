@@ -49,10 +49,13 @@ class Transport {
 
   /// Receive with a deadline: like recv(), but fails with kTimeout once
   /// `timeout` elapses with no message (the channel stays usable — the
-  /// message may still arrive on a later call).  This is what lets the
-  /// engine's retry path detect a dropped message instead of hanging.
-  /// Implementations that cannot honor deadlines fall back to a blocking
-  /// recv(); the in-proc, TCP, and decorator transports all honor them.
+  /// message may still arrive on a later call).  This is what lets a
+  /// blocking reader (the read router, the serve loops, tests) detect a
+  /// dropped message instead of hanging.  The engine never reads a replica
+  /// link this way: its replies arrive by handler, and its timeouts are
+  /// reactor timers.  Implementations that cannot honor deadlines fall
+  /// back to a blocking recv(); the in-proc, TCP, and decorator transports
+  /// all honor them.
   virtual Result<Bytes> recv_for(std::chrono::milliseconds timeout) {
     (void)timeout;
     return recv();

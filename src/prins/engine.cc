@@ -14,19 +14,6 @@
 namespace prins {
 namespace {
 
-std::size_t resolve_write_shards(std::size_t requested) {
-  std::size_t n = requested;
-  if (n == 0) {
-    n = parse_env_size("PRINS_WRITE_SHARDS", 1, 64).value_or(0);
-    if (n == 0) n = std::thread::hardware_concurrency();
-    if (n == 0) n = 1;
-  }
-  n = std::min<std::size_t>(n, 64);
-  std::size_t pow2 = 1;
-  while (pow2 < n) pow2 <<= 1;
-  return pow2;
-}
-
 // Codec frames add at most a small header plus bounded expansion over the
 // raw payload; reserving a bit beyond the block size keeps steady-state
 // frame encodes from growing the pooled buffer.
@@ -81,8 +68,6 @@ PrinsEngine::PrinsEngine(std::shared_ptr<BlockDevice> local,
       frame_pool_(frame_capacity_for(local_->block_size()),
                   config_.pool_max_free) {
   assert(local_ != nullptr);
-  assert(!config_.use_raid_tap &&
-         "use the RaidArray constructor for tap mode");
   init_shards();
 }
 
@@ -95,7 +80,6 @@ PrinsEngine::PrinsEngine(std::shared_ptr<RaidArray> local_raid,
       frame_pool_(frame_capacity_for(local_->block_size()),
                   config_.pool_max_free) {
   assert(local_ != nullptr);
-  config_.use_raid_tap = true;
   init_shards();
   raid_->set_parity_observer(
       [this](Lba lba, ByteSpan delta, std::size_t dirty) {
@@ -113,7 +97,6 @@ PrinsEngine::PrinsEngine(std::shared_ptr<Raid6Array> local_raid6,
       frame_pool_(frame_capacity_for(local_->block_size()),
                   config_.pool_max_free) {
   assert(local_ != nullptr);
-  config_.use_raid_tap = true;
   init_shards();
   raid6_->set_parity_observer(
       [this](Lba lba, ByteSpan delta, std::size_t dirty) {
@@ -123,7 +106,7 @@ PrinsEngine::PrinsEngine(std::shared_ptr<Raid6Array> local_raid6,
 }
 
 void PrinsEngine::init_shards() {
-  const std::size_t n = resolve_write_shards(config_.write_shards);
+  const std::size_t n = resolve_shard_count(config_.write_shards, 64);
   config_.write_shards = n;
   shards_.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
@@ -216,20 +199,20 @@ Status PrinsEngine::reattach_replica(std::size_t index,
     replica = replicas_[index].get();
   }
   {
-    // Take the link mutex so no exchange is mid-flight on the old
-    // transport while we swap it.
+    // Take the link mutex so no send is mid-flight on the old transport
+    // while we swap it.
     std::lock_guard link_lock(replica->mutex);
     // An engine-initiated close must not fire the old transport's close
     // handler into fail_round.
     clear_link_handlers(*replica);
     replica->transport->close();
     replica->transport = std::move(link);
-    replica->heal_failures = 0;
   }
   {
     std::lock_guard lock(mutex_);
     replica->failed = false;
     replica->unhealable = false;
+    replica->heal_failures = 0;
     // Clear the sticky error only once *every* link is healthy again:
     // reattaching replica 0 must not silently absolve a still-failed
     // replica 1.  The journal stays frozen until resync_replica delivers
@@ -244,12 +227,10 @@ Status PrinsEngine::reattach_replica(std::size_t index,
   // Re-arm the sender on the fresh transport.
   std::lock_guard link_lock(replica->mutex);
   std::unique_lock lock(mutex_);
-  if (replica->phase == ReplicaLink::Phase::kHealing ||
-      replica->phase == ReplicaLink::Phase::kExclusive) {
-    // kHealing: the heal thread owns the link; the notify above woke it,
-    // it will observe failed == false and rejoin the event-driven path
-    // itself (installing handlers on this fresh transport).  kExclusive:
-    // an operator exchange owns the link; end_link_exclusive reinstalls.
+  if (replica->phase == ReplicaLink::Phase::kHealing) {
+    // The heal thread owns the link; the notify above woke it, it will
+    // observe failed == false and resume the event-driven path itself
+    // (installing handlers on this fresh transport).
     return Status::ok();
   }
   cancel_link_timer_locked(replica);
@@ -579,6 +560,14 @@ void PrinsEngine::append_to_outbox_locked(ReplicaLink& link,
   }
 }
 
+void PrinsEngine::drop_locked(OutMessage& entry, const Status& why) {
+  if (entry.reply) {
+    entry.reply->set_value(why);
+  } else {
+    complete_locked(entry, /*acked=*/false);
+  }
+}
+
 void PrinsEngine::complete_locked(const OutMessage& item, bool acked) {
   // A coalesced ACK acknowledges every write the entry carries.
   if (acked) metrics_.acks += item.covered_count();
@@ -723,41 +712,28 @@ void PrinsEngine::convert_to_repair_locked(OutMessage& entry) {
                    << "; resending as a full-block repair";
 }
 
-void PrinsEngine::heal_failed(ReplicaLink* link, const Status& why) {
+std::chrono::steady_clock::time_point PrinsEngine::next_heal_locked(
+    ReplicaLink& link) {
+  const auto now = std::chrono::steady_clock::now();
+  if (link.heal_failures == 0) return now;
   const RetryPolicy& r = config_.retry;
   constexpr std::chrono::milliseconds kFloor{1};
+  return now + backoff_delay(std::max(r.base_backoff, kFloor),
+                             std::max(r.max_backoff, kFloor), r.multiplier,
+                             link.heal_failures, link.jitter);
+}
+
+void PrinsEngine::heal_failed(ReplicaLink* link, const Status& why) {
   std::lock_guard lock(mutex_);
   link->heal_failures += 1;
-  link->next_heal =
-      std::chrono::steady_clock::now() +
-      backoff_delay(std::max(r.base_backoff, kFloor),
-                    std::max(r.max_backoff, kFloor), r.multiplier,
-                    link->heal_failures, link->jitter);
+  link->next_heal = next_heal_locked(*link);
   PRINS_LOG(kWarn) << "self-heal of replica " << link->index
                    << " failed (attempt " << link->heal_failures
                    << "): " << why.to_string();
 }
 
-Status PrinsEngine::hello_locked(ReplicaLink& link,
-                                 std::uint64_t& applied_ts) {
-  ReplicationMessage hello;
-  hello.kind = MessageKind::kHello;
-  hello.cluster_epoch = config_.cluster_epoch;
-  hello.sequence = next_sequence_.fetch_add(1, std::memory_order_relaxed);
-  PRINS_ASSIGN_OR_RETURN(
-      ReplicationMessage reply,
-      exchange_locked(link, hello.encode(), hello.sequence));
-  if (reply.kind != MessageKind::kAck) {
-    return failed_precondition("replica refused the hello");
-  }
-  applied_ts = reply.timestamp_us;
-  return Status::ok();
-}
-
 void PrinsEngine::attempt_heal(ReplicaLink* link) {
   std::lock_guard link_lock(link->mutex);
-
-  // 1. Fresh connection.
   auto fresh = config_.reconnect(link->index);
   if (!fresh.is_ok()) return heal_failed(link, fresh.status());
   if (Status s = bind_to_loop(**fresh, config_.reactor); !s.is_ok()) {
@@ -765,27 +741,19 @@ void PrinsEngine::attempt_heal(ReplicaLink* link) {
   }
   link->transport->close();
   link->transport = std::move(*fresh);
-  {
-    std::lock_guard lock(mutex_);
-    metrics_.reconnects += 1;
-  }
 
-  // 2. Is the replica there, and does it still take our epoch?  A
-  // kStaleEpoch NAK fences the engine and ends the heal.
-  std::uint64_t replica_ts = 0;
-  if (Status s = hello_locked(*link, replica_ts); !s.is_ok()) {
-    return heal_failed(link, s);
-  }
-
-  // 3. Healed.  rejoin_link retransmits the open round and pumps the
-  // outbox on the fresh connection; the replica's sequence dedup absorbs
-  // whatever already landed.
+  // Healed.  heal_main retransmits the open round and pumps the outbox on
+  // the fresh connection, and that replay is the probe: the replica's
+  // sequence dedup absorbs whatever already landed, a kStaleEpoch NAK
+  // fences the engine, and a dead replica fails the round into the next
+  // heal.  Until a round finishes here the attempt counts as failed, so
+  // that next heal backs off.
   std::uint64_t watermark = 0;
   {
     std::lock_guard lock(mutex_);
     link->failed = false;
-    link->heal_failures = 0;
-    metrics_.auto_resyncs += 1;
+    link->heal_failures += 1;
+    metrics_.reconnects += 1;
     release_if_all_live_locked(/*clear_error=*/true,
                                /*unfreeze_journal=*/true);
     watermark = ack_watermark_locked();
@@ -793,7 +761,8 @@ void PrinsEngine::attempt_heal(ReplicaLink* link) {
     queue_cv_.notify_all();
   }
   advance_journal_watermark(watermark);
-  PRINS_LOG(kInfo) << "replica " << link->index << " self-healed";
+  PRINS_LOG(kInfo) << "replica " << link->index
+                   << " reconnected; replaying its open round";
 }
 
 bool PrinsEngine::release_if_all_live_locked(bool clear_error,
@@ -833,7 +802,7 @@ void PrinsEngine::install_link_handlers(ReplicaLink* link) {
     std::lock_guard g(guard->m);
     if (guard->engine == nullptr) return;
     // Lock-free pre-check: never block a loop thread on the link mutex
-    // behind a multi-second heal exchange.
+    // behind a reconnect.
     if (link->healing.load(std::memory_order_relaxed)) return;
     guard->engine->on_link_closed(link, why);
   });
@@ -906,6 +875,8 @@ void PrinsEngine::pump_link(ReplicaLink* link) {
     // Sticky, non-healable failure: drop queued traffic so producers and
     // drain() never block behind a dead link.
     if (link->outbox.empty()) return;
+    const Status down = unavailable("replica " + std::to_string(link->index) +
+                                    " is down");
     while (!link->outbox.empty()) {
       const auto it = link->fold_slots.find(link->outbox.front().meta.lba);
       if (it != link->fold_slots.end() && it->second == link->first_slot) {
@@ -914,7 +885,7 @@ void PrinsEngine::pump_link(ReplicaLink* link) {
       OutMessage item = std::move(link->outbox.front());
       link->outbox.pop_front();
       ++link->first_slot;
-      complete_locked(item, /*acked=*/false);
+      drop_locked(item, down);
     }
     const std::uint64_t watermark = ack_watermark_locked();
     queue_cv_.notify_all();
@@ -979,22 +950,26 @@ void PrinsEngine::on_link_reply(ReplicaLink* link, Bytes reply) {
   std::lock_guard link_lock(link->mutex);
   std::unique_lock lock(mutex_);
   if (stopping_.load(std::memory_order_relaxed) || link->round.empty()) {
-    return;  // stale ack from an earlier round/life of the link
+    return;  // stale reply from an earlier round/life of the link
   }
   if (link->phase != ReplicaLink::Phase::kAwaitingAcks &&
       link->phase != ReplicaLink::Phase::kBackoff) {
     return;
   }
-  // Coverage counts completions per transmission attempt; an ack landing
-  // during a backoff still settles its entry but does not count toward the
-  // attempt that already closed.
+  // Coverage counts the replies that answer this transmission attempt; a
+  // reply landing during a backoff still settles its entry but does not
+  // count toward the attempt that already closed.
   const bool counting = link->phase == ReplicaLink::Phase::kAwaitingAcks;
 
+  // Settle entry i.  An operator entry's slot is answered by the caller;
+  // replicated traffic is completed on the books.
   const auto mark = [&](std::size_t i) {
     link->round_acked[i] = true;
     link->round_progress = true;
-    complete_locked(link->round[i], /*acked=*/true);
-    const std::uint64_t ts = link->round[i].meta.timestamp_us;
+    const OutMessage& entry = link->round[i];
+    if (entry.reply) return;
+    complete_locked(entry, /*acked=*/true);
+    const std::uint64_t ts = entry.meta.timestamp_us;
     if (ts > link->acked_timestamp.load(std::memory_order_relaxed)) {
       link->acked_timestamp.store(ts, std::memory_order_relaxed);
     }
@@ -1004,65 +979,72 @@ void PrinsEngine::on_link_reply(ReplicaLink* link, Bytes reply) {
                        [](bool a) { return a; });
   };
 
-  constexpr std::size_t kNoConvert = static_cast<std::size_t>(-1);
-  std::size_t convert_index = kNoConvert;
-  auto ack = ReplicationMessage::decode(reply);
-  if (!ack.is_ok()) {
+  constexpr std::size_t kNone = static_cast<std::size_t>(-1);
+  std::size_t convert_index = kNone;
+  auto msg = ReplicationMessage::decode(reply);
+  if (!msg.is_ok()) {
     if (counting) ++link->round_covered;  // torn reply; retransmit covers it
-  } else if (ack->kind == MessageKind::kAckBatch) {
-    auto ranges = unpack_ack_ranges(ack->payload);
+  } else if (msg->kind == MessageKind::kAckBatch) {
+    auto ranges = unpack_ack_ranges(msg->payload);
     if (!ranges.is_ok()) {
       if (counting) ++link->round_covered;  // damaged; dedup re-acks
     } else {
       for (const AckRange& range : *ranges) {
         if (counting) link->round_covered += range.count;
         for (std::size_t i = 0; i < link->round.size(); ++i) {
-          if (!link->round_acked[i] &&
-              range.covers(link->round[i].meta.sequence)) {
-            mark(i);
+          const std::uint64_t seq = link->round[i].meta.sequence;
+          if (link->round_acked[i] || !range.covers(seq)) continue;
+          if (link->round[i].reply) {  // answered as the plain kAck it is
+            ReplicationMessage ack;
+            ack.kind = MessageKind::kAck;
+            ack.sequence = seq;
+            ack.cluster_epoch = msg->cluster_epoch;
+            link->round[i].reply->set_value(std::move(ack));
           }
+          mark(i);
         }
       }
     }
-  } else if (ack->kind == MessageKind::kNak) {
-    if (counting) ++link->round_covered;
-    if (!ack->payload.empty() &&
-        ack->payload[0] == static_cast<Byte>(NakReason::kStaleEpoch)) {
-      // Fenced by a promoted successor: sticky, unhealable failure.
-      lock.unlock();
-      fail_round(link, fenced_by_replica(*link, ack->cluster_epoch));
-      return;
-    }
-    if (!ack->payload.empty() &&
-        ack->payload[0] == static_cast<Byte>(NakReason::kNeedFullBlock)) {
-      for (std::size_t i = 0; i < link->round.size(); ++i) {
-        if (!link->round_acked[i] &&
-            link->round[i].meta.sequence == ack->sequence) {
-          convert_index = i;
-          break;
-        }
-      }
-    }
-    // A plain NAK (torn frame at the replica) is covered by the attempt's
-    // retransmit.
-  } else if (ack->kind == MessageKind::kAck) {
-    if (counting) ++link->round_covered;
-    for (std::size_t i = 0; i < link->round.size(); ++i) {
-      if (!link->round_acked[i] &&
-          link->round[i].meta.sequence == ack->sequence) {
-        mark(i);
-        break;
-      }
-    }
-    // Unmatched sequences are stale acks from duplicated delivery or an
-    // earlier timed-out round; ignore them.
-  } else {
+  } else if (msg->kind == MessageKind::kNak && !msg->payload.empty() &&
+             msg->payload[0] == static_cast<Byte>(NakReason::kStaleEpoch)) {
+    // Fenced by a promoted successor: sticky, unhealable failure.
     lock.unlock();
-    fail_round(link, failed_precondition("replica sent non-ACK reply"));
+    fail_round(link, fenced_by_replica(*link, msg->cluster_epoch));
     return;
+  } else {
+    std::size_t i = 0;
+    while (i < link->round.size() &&
+           (link->round_acked[i] ||
+            link->round[i].meta.sequence != msg->sequence)) {
+      ++i;
+    }
+    if (i == link->round.size()) {
+      // A reply that answers no open entry is late: a duplicate ack, or
+      // the second answer to a resent request.  Ignore it.  A NAK of
+      // sequence 0 is the replica failing to read one of our frames.
+      if (counting && msg->kind == MessageKind::kNak && msg->sequence == 0) {
+        ++link->round_covered;
+      }
+    } else {
+      if (counting) ++link->round_covered;
+      OutMessage& entry = link->round[i];
+      if (msg->kind == MessageKind::kAck ||
+          (entry.reply && !is_write_kind(entry.meta.kind))) {
+        // A request takes whatever answers it, a NAK included; a write
+        // only its ack.
+        if (entry.reply) entry.reply->set_value(std::move(*msg));
+        mark(i);
+      } else if (msg->kind == MessageKind::kNak && !msg->payload.empty() &&
+                 msg->payload[0] ==
+                     static_cast<Byte>(NakReason::kNeedFullBlock)) {
+        convert_index = i;
+      }
+      // A plain NAK of a write (torn frame at the replica) is covered by
+      // the attempt's retransmit.
+    }
   }
 
-  if (convert_index != kNoConvert) {
+  if (convert_index != kNone) {
     // convert_to_repair_locked takes mutex_ (metrics) and a stripe lock
     // itself; call it with only the link mutex held.
     lock.unlock();
@@ -1092,9 +1074,9 @@ void PrinsEngine::on_link_closed(ReplicaLink* link, const Status& why) {
   {
     std::lock_guard lock(mutex_);
     if (stopping_.load(std::memory_order_relaxed) || link->failed) return;
-    // Nothing in flight (idle, or an operator exchange owns the link): the
-    // next send fails on the dead connection (every transport refuses
-    // sends once closed) and fails the round it opens.
+    // Nothing in flight: the next send fails on the dead connection
+    // (every transport refuses sends once closed) and fails the round it
+    // opens.
     if (link->round.empty()) return;
   }
   fail_round(link,
@@ -1108,8 +1090,7 @@ void PrinsEngine::on_link_timer(ReplicaLink* link) {
   link->timer_armed = false;
   switch (link->phase) {
     case ReplicaLink::Phase::kAwaitingAcks:
-      // op_timeout expired with replies missing: recv_for's timeout in
-      // event form.
+      // op_timeout expired with replies missing.
       round_retry_or_fail(link, lock,
                           timeout_error("replica reply timed out"));
       return;
@@ -1159,11 +1140,11 @@ void PrinsEngine::resend_round(ReplicaLink* link) {
   transmit_round(link);
 }
 
-void PrinsEngine::close_round_locked(ReplicaLink& link) {
+void PrinsEngine::close_round_locked(ReplicaLink& link, const Status& why) {
   link.in_flight -= link.round.size();
   for (std::size_t i = 0; i < link.round.size(); ++i) {
     // Entries acked before the round closed were settled at ack time.
-    if (!link.round_acked[i]) complete_locked(link.round[i], /*acked=*/false);
+    if (!link.round_acked[i]) drop_locked(link.round[i], why);
   }
   link.round.clear();
   link.round_acked.clear();
@@ -1175,9 +1156,14 @@ void PrinsEngine::close_round_locked(ReplicaLink& link) {
 
 void PrinsEngine::finish_round(ReplicaLink* link,
                                std::unique_lock<std::mutex>& lock) {
-  close_round_locked(*link);
+  close_round_locked(*link, Status::ok());  // every entry is acked
   cancel_link_timer_locked(link);
   link->phase = ReplicaLink::Phase::kIdle;
+  if (link->heal_failures != 0) {
+    // The link carried a round: the heal that brought it back held.
+    metrics_.auto_resyncs += 1;
+    link->heal_failures = 0;
+  }
   const std::uint64_t watermark = ack_watermark_locked();
   queue_cv_.notify_all();
   if (idle_locked()) drain_cv_.notify_all();
@@ -1194,11 +1180,12 @@ void PrinsEngine::fail_round(ReplicaLink* link, const Status& why) {
     if (link->failed) return;  // a close and a timeout can race; first wins
     cancel_link_timer_locked(link);
     link->failed = true;
-    link->next_heal = std::chrono::steady_clock::now();
+    link->next_heal = next_heal_locked(*link);
     // On a healable link the failure is *degraded*, not broken: the round
     // stays open and writes keep queueing, and the heal reconnects and
     // replays both (the replica's sequence dedup absorbs what already
-    // landed).  Otherwise the round is settled here as dropped.
+    // landed).  Operator requests do not wait for the heal: they fail
+    // now.  Otherwise the round is settled here as dropped.
     if (healable_locked(*link)) {
       PRINS_LOG(kWarn) << "replica " << link->index
                        << " degraded; self-heal scheduled: "
@@ -1206,8 +1193,9 @@ void PrinsEngine::fail_round(ReplicaLink* link, const Status& why) {
       link->phase = ReplicaLink::Phase::kHealing;
       link->healing.store(true, std::memory_order_relaxed);
       spawn_heal = true;
+      hold_round_for_heal_locked(*link, why);
     } else {
-      close_round_locked(*link);
+      close_round_locked(*link, why);
       link->phase = ReplicaLink::Phase::kIdle;
       // No heal runs for this failure, so the link must not look healable
       // either: drain() would wait for the heal, and the pump would hold
@@ -1236,6 +1224,39 @@ void PrinsEngine::fail_round(ReplicaLink* link, const Status& why) {
   }
 }
 
+void PrinsEngine::hold_round_for_heal_locked(ReplicaLink& link,
+                                             const Status& why) {
+  std::size_t kept = 0;
+  for (std::size_t i = 0; i < link.round.size(); ++i) {
+    OutMessage& entry = link.round[i];
+    if (entry.reply && !link.round_acked[i]) entry.reply->set_value(why);
+    // Acked entries were settled at ack time: nothing to replay.
+    if (entry.reply || link.round_acked[i]) continue;
+    link.round[kept++] = std::move(entry);
+  }
+  link.in_flight -= link.round.size() - kept;
+  link.round.resize(kept);
+  link.round_acked.assign(kept, false);
+
+  // Queued requests go too; the fold slots of what stays are renumbered.
+  std::deque<OutMessage> queued;
+  link.fold_slots.clear();
+  for (OutMessage& entry : link.outbox) {
+    if (entry.reply) {
+      entry.reply->set_value(why);
+      continue;
+    }
+    const std::uint64_t slot = link.first_slot + queued.size();
+    if (entry.coalescable) {
+      link.fold_slots[entry.meta.lba] = slot;
+    } else {
+      link.fold_slots.erase(entry.meta.lba);
+    }
+    queued.push_back(std::move(entry));
+  }
+  link.outbox = std::move(queued);
+}
+
 void PrinsEngine::heal_main(ReplicaLink* link) {
   for (;;) {
     {
@@ -1250,37 +1271,15 @@ void PrinsEngine::heal_main(ReplicaLink* link) {
         link->healing.store(false, std::memory_order_relaxed);
         return;
       }
-      if (!healable_locked(*link)) break;  // healed, reattached, unhealable
+      if (!healable_locked(*link)) break;  // healed or reattached
     }
-    // attempt_heal's hello exchange uses blocking recv() on the fresh
-    // transport — valid here because no message handler is
-    // installed on it yet.
     attempt_heal(link);
   }
-  rejoin_link(link);
-}
-
-void PrinsEngine::rejoin_link(ReplicaLink* link) {
+  // Hand the link back to the event path: handlers on the fresh transport,
+  // then the open round's replay or a pump of the outbox.
   std::lock_guard link_lock(link->mutex);
-  std::unique_lock lock(mutex_);
   link->healing.store(false, std::memory_order_relaxed);
-  link->phase = ReplicaLink::Phase::kIdle;
-  queue_cv_.notify_all();  // begin_link_exclusive may be parked on the phase
-  if (stopping_.load(std::memory_order_relaxed)) return;
-  if (link->failed) {
-    // Fenced during the heal: drop the open round and queued traffic so
-    // producers and drain() move on; reattach_replica re-arms the handlers
-    // when the operator intervenes.
-    close_round_locked(*link);
-    schedule_pump_locked(link);
-    const std::uint64_t watermark = ack_watermark_locked();
-    if (idle_locked()) drain_cv_.notify_all();
-    lock.unlock();
-    advance_journal_watermark(watermark);
-    return;
-  }
-  lock.unlock();
-  resume_link(link);
+  if (!stopping_.load(std::memory_order_relaxed)) resume_link(link);
 }
 
 void PrinsEngine::resume_link(ReplicaLink* link) {
@@ -1300,119 +1299,37 @@ void PrinsEngine::resume_link(ReplicaLink* link) {
   }
 }
 
-void PrinsEngine::begin_link_exclusive(ReplicaLink* link) {
-  bool uninstall = false;
-  {
-    std::unique_lock lock(mutex_);
-    queue_cv_.wait(lock, [&] {
-      return stopping_.load(std::memory_order_relaxed) || link->failed ||
-             link->phase == ReplicaLink::Phase::kIdle;
-    });
-    if (stopping_.load(std::memory_order_relaxed) || link->failed ||
-        link->phase != ReplicaLink::Phase::kIdle) {
-      // Failed links had their handlers cleared by fail_round; blocking
-      // recv() already works on them.
-      return;
-    }
-    link->phase = ReplicaLink::Phase::kExclusive;
-    uninstall = true;
+std::future<Result<ReplicationMessage>> PrinsEngine::request(
+    ReplicaLink& link, ReplicationMessage msg) {
+  auto reply = std::make_shared<std::promise<Result<ReplicationMessage>>>();
+  std::future<Result<ReplicationMessage>> answer = reply->get_future();
+  if (config_.reactor->on_loop_thread()) {
+    reply->set_value(failed_precondition(
+        "an operator request cannot wait on the engine's loop thread, "
+        "which delivers its answer"));
+    return answer;
   }
-  if (uninstall) clear_link_handlers(*link);
-}
+  msg.cluster_epoch = config_.cluster_epoch;
+  msg.sequence = next_sequence_.fetch_add(1, std::memory_order_relaxed);
+  PooledBuffer payload;
+  if (!msg.payload.empty()) payload = PooledBuffer::heap(std::move(msg.payload));
+  msg.payload.clear();
 
-void PrinsEngine::end_link_exclusive(ReplicaLink* link) {
-  {
-    std::lock_guard lock(mutex_);
-    if (link->phase != ReplicaLink::Phase::kExclusive) return;
-    link->phase = ReplicaLink::Phase::kIdle;
-    queue_cv_.notify_all();  // another exclusive waiter may be parked
-  }
-  std::lock_guard link_lock(link->mutex);
-  // Reinstalling on a transport the exchange killed is fine: the next
-  // round's send finds it dead and fails the round.
-  install_link_handlers(link);
   std::lock_guard lock(mutex_);
-  schedule_pump_locked(link);
-}
-
-class PrinsEngine::LinkExclusive {
- public:
-  LinkExclusive(PrinsEngine& engine, ReplicaLink* link)
-      : engine_(engine), link_(link) {
-    engine_.begin_link_exclusive(link_);
+  if (stopping_.load(std::memory_order_relaxed)) {
+    reply->set_value(unavailable("engine is shutting down"));
+  } else if (link.failed) {
+    reply->set_value(unavailable("replica " + std::to_string(link.index) +
+                                 " is down"));
+  } else {
+    // Not coalescable, so the entry is also an ordering barrier for its
+    // LBA: no later write folds in ahead of a repair.
+    append_to_outbox_locked(link, msg, payload, PooledBuffer(),
+                            /*coalescable=*/false);
+    link.outbox.back().reply = std::move(reply);
+    schedule_pump_locked(&link);
   }
-  ~LinkExclusive() { engine_.end_link_exclusive(link_); }
-  LinkExclusive(const LinkExclusive&) = delete;
-  LinkExclusive& operator=(const LinkExclusive&) = delete;
-
- private:
-  PrinsEngine& engine_;
-  ReplicaLink* link_;
-};
-
-Result<ReplicationMessage> PrinsEngine::exchange_locked(
-    ReplicaLink& link, ByteSpan wire, std::uint64_t sequence) {
-  using Clock = std::chrono::steady_clock;
-  const RetryPolicy& r = config_.retry;
-  for (std::size_t attempt = 0; attempt <= r.max_attempts; ++attempt) {
-    PRINS_RETURN_IF_ERROR(link.transport->send(wire));
-    const Clock::time_point deadline = Clock::now() + r.op_timeout;
-    const auto receive = [&]() -> Result<Bytes> {
-      if (r.op_timeout.count() == 0) return link.transport->recv();
-      const auto left = std::chrono::ceil<std::chrono::milliseconds>(
-          deadline - Clock::now());
-      if (left.count() <= 0) return timeout_error("reply timed out");
-      return link.transport->recv_for(left);
-    };
-    for (;;) {
-      Result<Bytes> wire_reply = receive();
-      if (!wire_reply.is_ok()) {
-        if (wire_reply.status().code() != ErrorCode::kTimeout) {
-          return wire_reply.status();
-        }
-        break;  // resend
-      }
-      auto reply = ReplicationMessage::decode(*wire_reply);
-      if (!reply.is_ok()) break;  // torn, perhaps our answer: resend
-      if (reply->kind == MessageKind::kNak && !reply->payload.empty() &&
-          reply->payload[0] == static_cast<Byte>(NakReason::kStaleEpoch)) {
-        return fenced_by_replica(link, reply->cluster_epoch);
-      }
-      if (reply->kind == MessageKind::kNak && reply->sequence == 0) {
-        break;  // the replica could not read our request's header: resend
-      }
-      if (reply->kind == MessageKind::kAckBatch) {
-        auto ranges = unpack_ack_ranges(reply->payload);
-        if (!ranges.is_ok()) continue;
-        for (const AckRange& range : *ranges) {
-          if (!range.covers(sequence)) continue;
-          ReplicationMessage ack;
-          ack.kind = MessageKind::kAck;
-          ack.sequence = sequence;
-          ack.cluster_epoch = reply->cluster_epoch;
-          return ack;
-        }
-        continue;
-      }
-      // Anything else answering another sequence is a stale reply from an
-      // earlier exchange (a duplicate ack, a resend's second answer).
-      if (reply->sequence == sequence) return std::move(*reply);
-    }
-  }
-  return timeout_error("replica gave no answer to sequence " +
-                       std::to_string(sequence) + " after " +
-                       std::to_string(r.max_attempts + 1) + " sends");
-}
-
-Status PrinsEngine::send_and_ack_locked(ReplicaLink& link, ByteSpan wire,
-                                        std::uint64_t sequence) {
-  PRINS_ASSIGN_OR_RETURN(ReplicationMessage reply,
-                         exchange_locked(link, wire, sequence));
-  if (reply.kind != MessageKind::kAck) {
-    return failed_precondition("replica refused sequence " +
-                               std::to_string(sequence));
-  }
-  return Status::ok();
+  return answer;
 }
 
 Status PrinsEngine::drain() {
@@ -1478,9 +1395,8 @@ Status PrinsEngine::sync_blocks(const std::vector<Lba>& lbas) {
   return drain();
 }
 
-Status PrinsEngine::flat_verify_locked(ReplicaLink& link, Lba start,
-                                       std::uint64_t count,
-                                       std::uint64_t& repaired) {
+Status PrinsEngine::flat_verify(ReplicaLink& link, Lba start,
+                                std::uint64_t count, std::uint64_t& repaired) {
   const std::uint32_t bs = block_size();
   constexpr std::uint64_t kBatch = 1024;  // checksums per request message
   Bytes block(bs);
@@ -1495,28 +1411,32 @@ Status PrinsEngine::flat_verify_locked(ReplicaLink& link, Lba start,
     }
     ReplicationMessage req;
     req.kind = MessageKind::kVerifyRequest;
-    req.cluster_epoch = config_.cluster_epoch;
     req.block_size = bs;
-    req.sequence = next_sequence_.fetch_add(1, std::memory_order_relaxed);
     req.payload = pack_checksums(sums);
     PRINS_ASSIGN_OR_RETURN(ReplicationMessage reply,
-                           exchange_locked(link, req.encode(), req.sequence));
+                           request(link, std::move(req)).get());
     if (reply.kind != MessageKind::kVerifyReply) {
       return failed_precondition("replica sent non-verify reply");
     }
     PRINS_ASSIGN_OR_RETURN(std::vector<std::uint64_t> bad,
                            unpack_lbas(reply.payload));
+    std::vector<std::future<Result<ReplicationMessage>>> repairs;
     for (std::uint64_t lba : bad) {
+      // Read and queue under the block's stripe: a write to it is then
+      // either in the repair or queued behind it, never both.
+      WriteShard& shard = shard_for(lba);
+      std::lock_guard shard_lock(shard.mutex);
       PRINS_RETURN_IF_ERROR(local_->read(lba, block));
       ReplicationMessage repair;
       repair.kind = MessageKind::kRepairBlock;
-      repair.cluster_epoch = config_.cluster_epoch;
       repair.block_size = bs;
       repair.lba = lba;
-      repair.sequence = next_sequence_.fetch_add(1, std::memory_order_relaxed);
       repair.payload = encode_frame(codec_for(CodecId::kLz), block);
-      PRINS_RETURN_IF_ERROR(
-          send_and_ack_locked(link, repair.encode(), repair.sequence));
+      repairs.push_back(request(link, std::move(repair)));
+    }
+    // A write kind is answered only by its ack.
+    for (auto& answer : repairs) {
+      PRINS_RETURN_IF_ERROR(answer.get().status());
       ++repaired;
     }
   }
@@ -1528,14 +1448,9 @@ Result<std::uint64_t> PrinsEngine::verify_and_repair(Lba start,
   if (start >= num_blocks() || count > num_blocks() - start) {
     return out_of_range("verify range exceeds device");
   }
-  PRINS_RETURN_IF_ERROR(drain());
-
   std::uint64_t repaired = 0;
   for (auto& link : replicas_) {
-    // Park the link's sender so this blocking exchange owns the transport.
-    LinkExclusive exclusive(*this, link.get());
-    std::lock_guard link_lock(link->mutex);
-    PRINS_RETURN_IF_ERROR(flat_verify_locked(*link, start, count, repaired));
+    PRINS_RETURN_IF_ERROR(flat_verify(*link, start, count, repaired));
   }
   return repaired;
 }
@@ -1545,15 +1460,11 @@ Result<std::uint64_t> PrinsEngine::verify_and_repair_hierarchical(
   if (start >= num_blocks() || count > num_blocks() - start) {
     return out_of_range("verify range exceeds device");
   }
-  PRINS_RETURN_IF_ERROR(drain());
-
   constexpr unsigned kFanout = 16;       // subranges per split
   constexpr std::uint64_t kLeaf = 64;    // blocks: below this, go flat
 
   std::uint64_t repaired = 0;
   for (auto& link : replicas_) {
-    LinkExclusive exclusive(*this, link.get());
-    std::lock_guard link_lock(link->mutex);
     std::vector<BlockRange> frontier{BlockRange{start, count}};
     std::vector<BlockRange> leaves;
 
@@ -1561,13 +1472,10 @@ Result<std::uint64_t> PrinsEngine::verify_and_repair_hierarchical(
       // Ask the replica to fingerprint the whole frontier in one message.
       ReplicationMessage req;
       req.kind = MessageKind::kHashRequest;
-      req.cluster_epoch = config_.cluster_epoch;
       req.block_size = block_size();
-      req.sequence = next_sequence_.fetch_add(1, std::memory_order_relaxed);
       req.payload = pack_ranges(frontier);
-      PRINS_ASSIGN_OR_RETURN(
-          ReplicationMessage reply,
-          exchange_locked(*link, req.encode(), req.sequence));
+      PRINS_ASSIGN_OR_RETURN(ReplicationMessage reply,
+                             request(*link, std::move(req)).get());
       if (reply.kind != MessageKind::kHashReply) {
         return failed_precondition("replica sent non-hash reply");
       }
@@ -1599,8 +1507,7 @@ Result<std::uint64_t> PrinsEngine::verify_and_repair_hierarchical(
     }
 
     for (const BlockRange& leaf : leaves) {
-      PRINS_RETURN_IF_ERROR(
-          flat_verify_locked(*link, leaf.lba, leaf.count, repaired));
+      PRINS_RETURN_IF_ERROR(flat_verify(*link, leaf.lba, leaf.count, repaired));
     }
   }
   return repaired;
@@ -1625,22 +1532,14 @@ Status PrinsEngine::fetch_block_from_replica(Lba lba, MutByteSpan out) {
     {
       std::lock_guard lock(mutex_);
       link = replicas_[i].get();
-      if (link->failed) {
-        last = unavailable("replica " + std::to_string(i) + " is down");
-        continue;
-      }
     }
     ReplicationMessage req;
     req.kind = MessageKind::kReadBlockRequest;
-    req.cluster_epoch = config_.cluster_epoch;
     req.block_size = block_size();
     req.lba = lba;
-    req.sequence = next_sequence_.fetch_add(1, std::memory_order_relaxed);
-    LinkExclusive exclusive(*this, link);
-    std::lock_guard link_lock(link->mutex);
-    auto reply = exchange_locked(*link, req.encode(), req.sequence);
+    auto reply = request(*link, std::move(req)).get();
     if (!reply.is_ok()) {
-      last = reply.status();  // fenced, dead, or silent: try the next one
+      last = reply.status();  // fenced, down, silent or misplaced: next one
       continue;
     }
     if (reply->kind == MessageKind::kNak) {
@@ -1679,9 +1578,9 @@ Result<ScrubStats> PrinsEngine::scrub(const ScrubberConfig& config,
   // Quiesce: pause writers first by locking every stripe (writers take
   // exactly one, so any consistent order is deadlock-free), *then* drain,
   // so nothing can slip into an outbox between the drain and the pass —
-  // replies in flight on a busy link would be misread as read-block
-  // replies, and a half-replicated write under a repaired LBA would
-  // resurrect stale bytes.  Writers stay paused for the whole pass.
+  // a half-replicated write under a repaired LBA would resurrect stale
+  // bytes.  Writers stay paused for the whole pass; the replica pulls
+  // ride the round machine, which needs no stripe.
   std::vector<std::unique_lock<std::mutex>> shard_locks;
   shard_locks.reserve(shards_.size());
   for (auto& shard : shards_) shard_locks.emplace_back(shard->mutex);
@@ -1787,20 +1686,26 @@ Result<std::uint64_t> PrinsEngine::resync_replica(std::size_t index) {
 
   const std::uint32_t bs = block_size();
   const Bytes zeros(bs, 0);
-  std::uint64_t resynced = 0;
 
-  LinkExclusive exclusive(*this, link);
-  std::lock_guard link_lock(link->mutex);
   // Ask the replica where it really is before picking the fold base.  A
   // promoted primary attaches survivors with no ack history
   // (acked_timestamp == 0), and folding the whole trap log onto a replica
   // that already applied a prefix would XOR-undo that prefix; the hello's
   // applied timestamp anchors the fold at the replica's true position.
-  std::uint64_t replica_ts = 0;
-  PRINS_RETURN_IF_ERROR(hello_locked(*link, replica_ts));
-  const std::uint64_t since = std::max(
-      link->acked_timestamp.load(std::memory_order_relaxed), replica_ts);
+  ReplicationMessage hello;
+  hello.kind = MessageKind::kHello;
+  PRINS_ASSIGN_OR_RETURN(ReplicationMessage position,
+                         request(*link, std::move(hello)).get());
+  if (position.kind != MessageKind::kAck) {
+    return failed_precondition("replica refused the hello");
+  }
+  const std::uint64_t since =
+      std::max(link->acked_timestamp.load(std::memory_order_relaxed),
+               position.timestamp_us);
   std::uint64_t newest = since;
+  // Replies are matched by sequence, so every fold is queued before the
+  // first wait.
+  std::vector<std::future<Result<ReplicationMessage>>> folds;
   for (Lba lba : trap_log_.blocks_changed_since(since)) {
     // Fold every delta the replica missed: XOR of entries newer than
     // `since` == A_now ⊕ A_since (recover_block on a zero buffer).
@@ -1811,17 +1716,16 @@ Result<std::uint64_t> PrinsEngine::resync_replica(std::size_t index) {
     ReplicationMessage msg;
     msg.kind = MessageKind::kWrite;
     msg.policy = ReplicationPolicy::kPrinsRle;
-    msg.cluster_epoch = config_.cluster_epoch;
     msg.block_size = bs;
     msg.lba = lba;
     msg.payload = encode_frame(codec_for(CodecId::kZeroRle), fold);
-    msg.sequence = next_sequence_.fetch_add(1, std::memory_order_relaxed);
     msg.timestamp_us = clock_.load(std::memory_order_seq_cst);
     newest = msg.timestamp_us;
-    PRINS_RETURN_IF_ERROR(
-        send_and_ack_locked(*link, msg.encode(), msg.sequence));
-    ++resynced;
+    folds.push_back(request(*link, std::move(msg)));
   }
+  // A write kind is answered only by its ack.
+  for (auto& answer : folds) PRINS_RETURN_IF_ERROR(answer.get().status());
+  const std::uint64_t resynced = folds.size();
   link->acked_timestamp.store(newest, std::memory_order_relaxed);
 
   // The replica is caught up.  If it was the last straggler, release the

@@ -38,6 +38,7 @@
 #include <condition_variable>
 #include <deque>
 #include <functional>
+#include <future>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -73,9 +74,10 @@ using TransportFactory =
 /// backoff + jitter.  A lost connection or exhausted retries keep the round
 /// open for the self-heal (see EngineConfig::reconnect), which replays it on
 /// a fresh connection, or else are a sticky failure.  Sequence dedup at the
-/// replica makes every retransmission safe.  Blocking operator exchanges
-/// (verify, resync, fetch, the heal's hello) bound each reply wait by
-/// op_timeout too and resend up to max_attempts times.
+/// replica makes every retransmission safe.  Operator requests (verify,
+/// the hash audit, block fetch, resync) ride the same rounds, so the same
+/// op_timeout and max_attempts bound them, and a replica that leaves one
+/// unanswered fails its link like one that leaves a write unacked.
 struct RetryPolicy {
   /// Consecutive no-progress attempts before the link is declared failed.
   std::size_t max_attempts = 5;
@@ -93,9 +95,6 @@ struct EngineConfig {
   ReplicationPolicy policy = ReplicationPolicy::kPrins;
   /// Per-replica outbox bound; producers block while any outbox is full.
   std::size_t queue_capacity = 1024;
-  /// Tap P' from the local RaidArray instead of reading the old block.
-  /// Requires the local device passed to the constructor to be a RaidArray.
-  bool use_raid_tap = false;
   /// Messages a sender streams to its replica before waiting for ACKs.
   /// 1 is stop-and-wait (the paper's conservative closed-network
   /// assumption); larger windows amortize the link round-trip over WAN
@@ -127,9 +126,10 @@ struct EngineConfig {
   /// whose connection dies or whose retries run out becomes *degraded*, a
   /// state the engine exits on its own: the open round stays open and new
   /// writes queue behind it, and a transient heal thread reconnects through
-  /// this factory and checks the replica still takes this engine's epoch
-  /// (kHello).  The link then replays the open round and pumps its outbox
-  /// on the fresh connection.  Null (default), or without keep_trap_log: a
+  /// this factory.  The link then replays the open round and pumps its
+  /// outbox on the fresh connection; the replay is the probe (a replica
+  /// that fenced this engine NAKs it with kStaleEpoch, a dead one fails it
+  /// and the next heal backs off).  Null (default), or without keep_trap_log: a
   /// link failure is sticky, resolved by the operator (reattach_replica +
   /// resync_replica).  A reconnect whose transport hides its
   /// HandlerTransport fails that heal attempt.
@@ -146,10 +146,9 @@ struct EngineConfig {
   /// LBA-striped submit locks: writers to blocks in different shards
   /// (shard = lba mod write_shards) proceed concurrently; same-block writes
   /// stay fully serialized, which is what keeps replica XOR chains
-  /// telescoping.  0 (default) auto-sizes: the PRINS_WRITE_SHARDS
-  /// environment variable if set, else the hardware thread count.  Rounded
-  /// up to a power of two, clamped to [1, 64].  1 reproduces the old
-  /// global-write-lock behavior.
+  /// telescoping.  0 (default) auto-sizes to the hardware thread count.
+  /// Rounded up to a power of two, clamped to [1, 64].  1 reproduces the
+  /// old global-write-lock behavior.
   std::size_t write_shards = 0;
   /// Hot-path scratch buffers (old block, delta, codec frame, coalesce
   /// copy) come from a freelist instead of the heap, so steady-state
@@ -219,7 +218,6 @@ class PrinsEngine final : public BlockDevice {
 
   /// RAID-tap constructors: the engine subscribes to the array's parity
   /// observer and gets P' from the small-write path for free.
-  /// `config.use_raid_tap` is implied.
   PrinsEngine(std::shared_ptr<RaidArray> local_raid, EngineConfig config);
   PrinsEngine(std::shared_ptr<Raid6Array> local_raid6, EngineConfig config);
 
@@ -273,7 +271,9 @@ class PrinsEngine final : public BlockDevice {
 
   /// Checksum-compare a block range against every replica and rewrite
   /// mismatching blocks.  Returns the number of blocks repaired across all
-  /// replicas.  Drains first.
+  /// replicas.  Each request queues behind the writes already in its
+  /// link's outbox, and the replica answers after applying them, so no
+  /// drain is needed; a down or degraded link fails the call at once.
   Result<std::uint64_t> verify_and_repair(Lba start, std::uint64_t count);
 
   /// Hierarchical (Merkle-style) audit: compare range fingerprints first
@@ -287,9 +287,11 @@ class PrinsEngine final : public BlockDevice {
   /// Fetch one block's contents from the first healthy replica that can
   /// serve it (kReadBlockRequest).  The scrubber's replica-pull repair
   /// source; also usable directly for ad-hoc recovery.  Safe on busy
-  /// links: each exchange holds its link exclusively (LinkExclusive), so
-  /// no replication reply can be misread as the block.  DATA_CORRUPTION if
-  /// every replica NAK'd the block (their copies are damaged too).
+  /// links: the request rides the link's round machine and its reply is
+  /// matched by sequence.  DATA_CORRUPTION if every replica NAK'd the
+  /// block (their copies are damaged too).  kFailedPrecondition when
+  /// called on the engine's loop thread, which must stay free to deliver
+  /// the answer.
   Status fetch_block_from_replica(Lba lba, MutByteSpan out);
 
   /// Scrub the local device: drain, pause writers, and run one Scrubber
@@ -419,13 +421,18 @@ class PrinsEngine final : public BlockDevice {
     std::uint64_t first_covered = 0;
     std::vector<std::uint64_t> extra_covered;
     std::size_t covered_count() const { return 1 + extra_covered.size(); }
+    /// Set on an operator request (see request()): its answer, or the
+    /// failure that dropped it, goes here, and the entry stays out of the
+    /// write books (acks, message_bytes, outstanding_).  Null for
+    /// replicated traffic.
+    std::shared_ptr<std::promise<Result<ReplicationMessage>>> reply;
   };
 
   struct ReplicaLink {
     /// Delivers through a HandlerTransport (under any decorators), bound
     /// to its loop where the link entered.
     std::unique_ptr<Transport> transport;
-    std::mutex mutex;  // serializes exchanges on this link
+    std::mutex mutex;  // serializes the sender's work on this link
     // Logical timestamp of the newest write this replica has acked;
     // resync_replica() folds the parity log forward from here.
     std::atomic<std::uint64_t> acked_timestamp{0};
@@ -445,8 +452,9 @@ class PrinsEngine final : public BlockDevice {
     /// operator repair needed.
     bool unhealable = false;
 
-    // Heal state touched only by this link's heal thread (and by
-    // reattach_replica under `mutex`).
+    // Heal state, guarded by mutex_.  A heal counts as a failed attempt
+    // until a round finishes on the healed link, so a replica that accepts
+    // the connection and hangs up is backed off like a failed reconnect.
     std::uint32_t heal_failures = 0;
     std::chrono::steady_clock::time_point next_heal{};
 
@@ -460,9 +468,9 @@ class PrinsEngine final : public BlockDevice {
     /// the round came back short (timeout / NAKs) and a wheel timer is
     /// sleeping out the retry backoff before the retransmit.  kHealing: a
     /// transient heal thread owns the link (handlers uninstalled, traffic
-    /// held).  kExclusive: a blocking operator exchange (verify / resync /
-    /// fetch) owns the link and reads replies via recv().
-    enum class Phase { kIdle, kAwaitingAcks, kBackoff, kHealing, kExclusive };
+    /// held).  Operator requests are round entries like writes, so they
+    /// need no phase of their own.
+    enum class Phase { kIdle, kAwaitingAcks, kBackoff, kHealing };
     Phase phase = Phase::kIdle;   // guarded by mutex_
     bool pump_scheduled = false;  // a pump closure is queued (mutex_)
     /// The in-flight round: entries popped from the outbox awaiting acks.
@@ -484,7 +492,7 @@ class PrinsEngine final : public BlockDevice {
     std::atomic<std::uint64_t> timer_epoch{0};
     /// True while a heal thread owns the link.  Loop-thread callbacks
     /// check it lock-free so they never block on `mutex` behind a
-    /// multi-second heal exchange.
+    /// reconnect.
     std::atomic<bool> healing{false};
   };
 
@@ -551,33 +559,39 @@ class PrinsEngine final : public BlockDevice {
     std::atomic<std::uint64_t>& slot_;
   };
 
-  /// One blocking request/reply exchange on a link the caller owns (link
-  /// mutex held, handlers parked): send `wire`, then read replies until
-  /// one answers `sequence` — a kAckBatch covering it comes back as a
-  /// plain kAck — skipping stale replies from earlier exchanges.  Each
-  /// attempt waits at most retry.op_timeout (0 = no bound); a timeout, a
-  /// torn reply or a NAK for an unreadable request (sequence 0) resends,
-  /// up to retry.max_attempts times.  A kStaleEpoch NAK fences the engine.  The answer may be a
-  /// NAK; the caller judges its kind.
-  Result<ReplicationMessage> exchange_locked(ReplicaLink& link,
-                                             ByteSpan wire,
-                                             std::uint64_t sequence);
-  /// exchange_locked() for a write-kind frame: OK only on a kAck.
-  Status send_and_ack_locked(ReplicaLink& link, ByteSpan wire,
-                             std::uint64_t sequence);
+  /// Queue an operator request on `link`: stamp the epoch and a fresh
+  /// sequence, append it to the outbox (no journal record, no outstanding_
+  /// slot, no wait for capacity) behind the writes already there, and pump.
+  /// The round machine sends, times out and retransmits it like a write.
+  /// A request kind (kHello, kVerifyRequest, kHashRequest,
+  /// kReadBlockRequest) is answered by the reply that names its sequence,
+  /// a NAK included, which the caller judges; a write kind (kRepairBlock,
+  /// a resync fold) only by its ack.  A failed link answers kUnavailable at
+  /// once, the engine's loop thread kFailedPrecondition (waiting there
+  /// would deadlock).  Wait holding neither mutex_ nor a link mutex, which
+  /// the round machine takes; stripe locks are fine, since it only
+  /// try-locks them.
+  std::future<Result<ReplicationMessage>> request(ReplicaLink& link,
+                                                  ReplicationMessage msg);
+  /// Settle a popped entry the link could not deliver: an operator entry's
+  /// slot is answered with `why`, replicated traffic is completed as
+  /// dropped.  mutex_ held.
+  void drop_locked(OutMessage& entry, const Status& why);
   /// Rewrite a NAK'd (NakReason::kNeedFullBlock) in-flight parity entry as
   /// a kRepairBlock carrying the block's full contents at the entry's own
   /// timestamp, so deltas queued behind it still telescope.  No-op (the
   /// next retry round converts) while a write is mid-flight to the trap
   /// log.  Link mutex must be held.
   void convert_to_repair_locked(OutMessage& entry);
-  /// Degraded-link recovery: reconnect, check the replica takes our epoch
-  /// (kHello), and mark the link healed; rejoin_link then replays the open
-  /// round and the outbox on the fresh connection.
+  /// Degraded-link recovery: reconnect, swap the transport and mark the
+  /// link healed; heal_main then replays the open round and the outbox on
+  /// the fresh connection.
   void attempt_heal(ReplicaLink* link);
-  Status hello_locked(ReplicaLink& link, std::uint64_t& applied_ts);
   /// Count a failed heal attempt and back the next one off.
   void heal_failed(ReplicaLink* link, const Status& why);
+  /// When the next heal may run: now, or backed off by the heal attempts
+  /// that have not been confirmed by a finished round.  mutex_ held.
+  std::chrono::steady_clock::time_point next_heal_locked(ReplicaLink& link);
   /// Once no link is failed, clear the sticky worker error (`clear_error`)
   /// and/or the dropped marks and journal freeze (`unfreeze_journal`).
   /// Returns whether every link is live.  mutex_ held.
@@ -610,7 +624,7 @@ class PrinsEngine final : public BlockDevice {
   /// CRC chained across both.  Re-encodes folded entries first.  Link
   /// mutex must be held.
   Status send_entry_locked(ReplicaLink& link, OutMessage& entry);
-  /// Account one popped entry as acked or dropped by one link.
+  /// Account one popped write entry as acked or dropped by one link.
   void complete_locked(const OutMessage& item, bool acked);
   bool outboxes_below_capacity_locked() const;
   bool idle_locked() const;
@@ -627,10 +641,10 @@ class PrinsEngine final : public BlockDevice {
   /// Build and enqueue the kWrite message for one block (shard lock held).
   Status replicate_block(WriteShard& shard, Lba lba, ByteSpan new_block,
                          ByteSpan delta, std::size_t dirty);
-  /// Flat per-block verify+repair of one range on one link (link mutex
-  /// must be held).  Adds repaired blocks to `repaired`.
-  Status flat_verify_locked(ReplicaLink& link, Lba start, std::uint64_t count,
-                            std::uint64_t& repaired);
+  /// Flat per-block verify+repair of one range on one link.  Adds repaired
+  /// blocks to `repaired`.
+  Status flat_verify(ReplicaLink& link, Lba start, std::uint64_t count,
+                     std::uint64_t& repaired);
 
   // ---- Event-driven sender ----------------------------------------------
   /// Install message/close handlers on the link's transport.  Link mutex
@@ -667,44 +681,39 @@ class PrinsEngine final : public BlockDevice {
   void round_retry_or_fail(ReplicaLink* link,
                            std::unique_lock<std::mutex>& lock,
                            const Status& why);
+  /// Trim a degraded link's open round to the writes its heal must
+  /// replay.  Operator entries do not wait for the heal: each one in the
+  /// round or the outbox is answered with `why` and taken out.  Engine
+  /// mutex and link mutex held.
+  void hold_round_for_heal_locked(ReplicaLink& link, const Status& why);
   /// Close the open round: release in_flight and settle every entry not
-  /// acked yet as dropped.  Engine mutex and link mutex held.
-  void close_round_locked(ReplicaLink& link);
+  /// acked yet as dropped by `why`.  Engine mutex and link mutex held.
+  void close_round_locked(ReplicaLink& link, const Status& why);
   /// Settle the round as delivered: release in_flight, advance the
   /// watermark, restart the pump.  Enters with mutex_ held via `lock`
   /// (and the link mutex held); releases mutex_.
   void finish_round(ReplicaLink* link, std::unique_lock<std::mutex>& lock);
   /// The round cannot finish on this connection.  On a healable link the
-  /// round stays open for the heal to replay; otherwise it is settled as
-  /// dropped and the link fails sticky.  Link mutex held, engine mutex NOT
-  /// held.
+  /// round stays open for the heal to replay, less its operator entries,
+  /// which fail now; otherwise it is settled as dropped and the link fails
+  /// sticky.  Link mutex held, engine mutex NOT held.
   void fail_round(ReplicaLink* link, const Status& why);
   void arm_link_timer_locked(ReplicaLink* link,
                              std::chrono::steady_clock::time_point deadline);
   void cancel_link_timer_locked(ReplicaLink* link);
   /// Transient heal thread for a degraded link: waits out next_heal, runs
-  /// attempt_heal until the link recovers, then rejoins the event-driven
-  /// path.
+  /// attempt_heal until the link recovers, then resumes the event-driven
+  /// path on the fresh transport.
   void heal_main(ReplicaLink* link);
-  /// Hand the link back to the event path after a heal: reinstall
-  /// handlers and resume, or settle its traffic if it became unhealable.
-  void rejoin_link(ReplicaLink* link);
   /// Install handlers on the link's (fresh) transport and retransmit the
   /// open round, or pump the outbox.  Link mutex held, engine mutex not.
   void resume_link(ReplicaLink* link);
-  /// Park the link's sender (wait out the open round, uninstall the
-  /// message handler) so a blocking request/reply operator exchange can
-  /// read replies via recv().
-  void begin_link_exclusive(ReplicaLink* link);
-  void end_link_exclusive(ReplicaLink* link);
-  /// RAII wrapper over begin/end_link_exclusive.
-  class LinkExclusive;
 
   /// Read one block under its stripe lock and enqueue it as a kSyncBlock
   /// (the shared body of full_sync / sync_blocks; does not drain).
   Status enqueue_sync_block(Lba lba, const Codec& codec, Bytes& scratch);
 
-  /// Resolve config.write_shards (env/auto-size, power of two, clamp),
+  /// Resolve config.write_shards (auto-size, power of two, clamp),
   /// build the shard array, and create the private reactor when none was
   /// configured.  Called once from each constructor.
   void init_shards();

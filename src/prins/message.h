@@ -104,6 +104,14 @@ enum class NakReason : std::uint8_t {
                        //   `sequence` echoes the request's exchange id.
 };
 
+/// Kinds that change a replica's blocks and are answered by an ack (or a
+/// NAK asking for a resend); every other request kind is answered by its
+/// own reply.
+inline bool is_write_kind(MessageKind kind) {
+  return kind == MessageKind::kWrite || kind == MessageKind::kSyncBlock ||
+         kind == MessageKind::kRepairBlock;
+}
+
 /// One contiguous run of applied sequences inside a kAckBatch payload.
 /// The replica's ack stage coalesces per-worker completions into runs;
 /// holes between runs are sequences still in flight (or NAK'd separately).

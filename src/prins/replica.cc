@@ -19,33 +19,12 @@
 #include "prins/verify.h"
 
 namespace prins {
-namespace {
-
-std::size_t resolve_apply_shards(std::size_t requested) {
-  std::size_t n = requested;
-  if (n == 0) {
-    n = parse_env_size("PRINS_APPLY_SHARDS", 1, 32).value_or(0);
-    if (n == 0) n = std::thread::hardware_concurrency();
-    if (n == 0) n = 1;
-  }
-  n = std::min<std::size_t>(n, 32);
-  std::size_t pow2 = 1;
-  while (pow2 < n) pow2 <<= 1;
-  return pow2;
-}
-
-bool is_write_kind(MessageKind kind) {
-  return kind == MessageKind::kWrite || kind == MessageKind::kSyncBlock ||
-         kind == MessageKind::kRepairBlock;
-}
-
-}  // namespace
 
 ReplicaEngine::ReplicaEngine(std::shared_ptr<BlockDevice> local,
                              ReplicaConfig config)
     : local_(std::move(local)), config_(config),
       cluster_epoch_(config.cluster_epoch) {
-  config_.apply_shards = resolve_apply_shards(config_.apply_shards);
+  config_.apply_shards = resolve_shard_count(config_.apply_shards, 32);
   if (config_.ack_coalesce_max == 0) config_.ack_coalesce_max = 1;
   shards_.reserve(config_.apply_shards);
   for (std::size_t i = 0; i < config_.apply_shards; ++i) {
@@ -991,8 +970,7 @@ Status ReplicaPipeline::send_ack_chunk(Session& session,
   ack.sequence = newest;
   ack.lba = last_lba;
   if (acked.size() == 1) {
-    // A lone completion acks plainly — byte-compatible with the
-    // one-frame-at-a-time resync and heal exchanges.
+    // A lone completion acks plainly.
     ack.kind = MessageKind::kAck;
     return send(session, ack, {});
   }

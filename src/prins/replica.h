@@ -57,8 +57,7 @@ struct ReplicaConfig {
   std::uint64_t intent_checkpoint_every = 256;
   /// Apply workers the pipeline runs, striped by LBA (shard = lba mod
   /// shards) so same-block deltas keep their order while independent
-  /// blocks apply concurrently.  0 (default) auto-sizes: the
-  /// PRINS_APPLY_SHARDS environment variable if set, else the hardware
+  /// blocks apply concurrently.  0 (default) auto-sizes to the hardware
   /// thread count; the result is rounded up to a power of two (masking
   /// beats modulo) and clamped to 32.  1 reproduces the historical
   /// in-order loop.

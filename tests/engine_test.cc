@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cmath>
 #include <condition_variable>
 #include <functional>
 #include <future>
@@ -1491,6 +1492,351 @@ TEST(EngineTest, GarbageOnTheWireIsRejectedNotApplied) {
   EXPECT_TRUE(all_zero(out));  // the corrupt write never landed
   EXPECT_EQ(replica->metrics().writes_applied, 0u);
   EXPECT_EQ(replica->metrics().naks_sent, 1u);
+}
+
+// ---- Operator requests on the round machine --------------------------------
+
+TEST(EngineTest, FetchDuringWritesRidesThePipelinedLink) {
+  // Block fetches share a pipelined link (a window of 8) with a stream of
+  // writes to other blocks.  Each reply is matched by sequence, so every
+  // fetch returns the replica's block and no write's ack is taken for one.
+  constexpr Lba kFetched = 16;  // the writer owns the blocks above these
+  auto primary = std::make_shared<MemDisk>(kBlocks, kBs);
+  auto replica_disk = std::make_shared<MemDisk>(kBlocks, kBs);
+  auto replica = std::make_shared<ReplicaEngine>(replica_disk);
+  EngineConfig config;
+  config.policy = ReplicationPolicy::kPrins;
+  config.pipeline_depth = 8;
+  auto engine = std::make_unique<PrinsEngine>(primary, config);
+  auto [primary_end, replica_end] = make_inproc_pair();
+  engine->add_replica(std::move(primary_end));
+  std::thread server(
+      [r = replica, t = std::shared_ptr<Transport>(std::move(replica_end))] {
+        EXPECT_TRUE(r->serve(*t).is_ok());
+      });
+  for (Lba lba = 0; lba < kFetched; ++lba) {
+    ASSERT_TRUE(engine->write(lba, random_block(1600 + lba)).is_ok());
+  }
+  ASSERT_TRUE(engine->drain().is_ok());
+
+  std::atomic<bool> stop{false};
+  std::atomic<int> written{0};
+  std::thread writer([&] {
+    for (std::uint64_t i = 0; !stop.load(); ++i) {
+      const Lba lba = kFetched + i % (kBlocks - kFetched);
+      EXPECT_TRUE(engine->write(lba, random_block(1700 + i)).is_ok());
+      ++written;
+    }
+  });
+  const bool streaming = [&] {
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (written.load() < 64) {
+      if (std::chrono::steady_clock::now() > deadline) return false;
+      std::this_thread::yield();
+    }
+    return true;
+  }();
+  EXPECT_TRUE(streaming);
+  int mismatches = 0;
+  Bytes got(kBs), want(kBs);
+  for (int pass = 0; pass < 8 && streaming; ++pass) {
+    for (Lba lba = 0; lba < kFetched; ++lba) {
+      const Status fetched = engine->fetch_block_from_replica(lba, got);
+      EXPECT_TRUE(fetched.is_ok()) << fetched.to_string();
+      EXPECT_TRUE(replica_disk->read(lba, want).is_ok());
+      if (got != want) ++mismatches;
+    }
+  }
+  stop = true;
+  writer.join();
+  EXPECT_EQ(mismatches, 0);
+
+  ASSERT_TRUE(engine->drain().is_ok());
+  const EngineMetrics metrics = engine->metrics();
+  EXPECT_EQ(metrics.acks, metrics.writes);  // fetches stay off the books
+  Bytes a(kBs), b(kBs);
+  for (Lba lba = 0; lba < kBlocks; ++lba) {
+    ASSERT_TRUE(primary->read(lba, a).is_ok());
+    ASSERT_TRUE(replica_disk->read(lba, b).is_ok());
+    ASSERT_EQ(a, b) << "lba " << lba;
+  }
+  engine.reset();
+  server.join();
+}
+
+TEST(EngineTest, FetchOnTheEnginesLoopThreadFailsInsteadOfHanging) {
+  // The engine's loop delivers every reply, so a request made on it could
+  // never be answered: it must fail at once.
+  auto reactor = Reactor::create();
+  ASSERT_TRUE(reactor.is_ok()) << reactor.status().to_string();
+  EngineConfig config;
+  config.policy = ReplicationPolicy::kPrins;
+  config.reactor = *reactor;
+  auto primary = std::make_shared<MemDisk>(kBlocks, kBs);
+  auto replica_disk = std::make_shared<MemDisk>(kBlocks, kBs);
+  auto replica = std::make_shared<ReplicaEngine>(replica_disk);
+  auto engine = std::make_unique<PrinsEngine>(primary, config);
+  auto [primary_end, replica_end] = make_inproc_pair();
+  engine->add_replica(std::move(primary_end));
+  std::thread server(
+      [r = replica, t = std::shared_ptr<Transport>(std::move(replica_end))] {
+        EXPECT_TRUE(r->serve(*t).is_ok());
+      });
+
+  std::promise<Status> on_loop;
+  (*reactor)->post([&] {
+    Bytes out(kBs);
+    on_loop.set_value(engine->fetch_block_from_replica(3, out));
+  });
+  auto answer = on_loop.get_future();
+  ASSERT_EQ(answer.wait_for(std::chrono::seconds(10)),
+            std::future_status::ready)
+      << "a fetch on the loop thread hung";
+  EXPECT_EQ(answer.get().code(), ErrorCode::kFailedPrecondition);
+
+  Bytes out(kBs);  // off the loop, the same call is served
+  EXPECT_TRUE(engine->fetch_block_from_replica(3, out).is_ok());
+  engine.reset();
+  server.join();
+}
+
+TEST(EngineTest, OperatorRequestsFailAtOnceOnADegradedLink) {
+  // The link is cut and the reconnect factory is down, so the link stays
+  // degraded.  A fetch or a verify must fail at once rather than wait for
+  // a heal that cannot come; once the factory recovers, the held writes
+  // replay and the volumes match.
+  InprocNetwork network;
+  auto replica_disk = std::make_shared<MemDisk>(kBlocks, kBs);
+  auto replica = std::make_shared<ReplicaEngine>(replica_disk);
+  auto listener_or = network.listen("replica");
+  ASSERT_TRUE(listener_or.is_ok());
+  auto listener = std::shared_ptr<Listener>(std::move(*listener_or));
+  std::thread server = replica_serve_in_background(replica, listener);
+
+  auto calls = std::make_shared<std::atomic<int>>(0);
+  auto factory_up = std::make_shared<std::atomic<bool>>(false);
+  EngineConfig config;
+  config.policy = ReplicationPolicy::kPrins;
+  config.keep_trap_log = true;
+  config.retry.base_backoff = std::chrono::milliseconds(1);
+  config.retry.max_backoff = std::chrono::milliseconds(5);
+  config.retry.op_timeout = std::chrono::milliseconds(500);
+  config.reconnect = [&network, calls, factory_up](
+                         std::size_t) -> Result<std::unique_ptr<Transport>> {
+    ++*calls;
+    if (!factory_up->load()) return unavailable("reconnect endpoint down");
+    return network.connect("replica");
+  };
+  auto primary = std::make_shared<MemDisk>(kBlocks, kBs);
+  auto engine = std::make_unique<PrinsEngine>(primary, config);
+  {
+    auto raw = network.connect("replica");
+    ASSERT_TRUE(raw.is_ok());
+    FaultConfig faults;
+    faults.disconnect_after = 10;  // the 11th frame cuts the link
+    engine->add_replica(
+        std::make_unique<FaultyTransport>(std::move(*raw), faults));
+  }
+  for (Lba lba = 0; lba < 20; ++lba) {
+    ASSERT_TRUE(engine->write(lba, random_block(1800 + lba)).is_ok());
+  }
+  // The first reconnect call means the link has failed, degraded.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (calls->load() == 0 && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_GT(calls->load(), 0);
+
+  auto fetched = std::async(std::launch::async, [&] {
+    Bytes out(kBs);
+    return engine->fetch_block_from_replica(2, out);
+  });
+  const bool fetch_prompt = fetched.wait_for(std::chrono::seconds(10)) ==
+                            std::future_status::ready;
+  auto verified = std::async(std::launch::async, [&] {
+    return engine->verify_and_repair(0, kBlocks).status();
+  });
+  const bool verify_prompt = verified.wait_for(std::chrono::seconds(10)) ==
+                             std::future_status::ready;
+  // Up before either result is read, so a call that does wait for the
+  // heal ends with it instead of hanging the test.
+  factory_up->store(true);
+  EXPECT_TRUE(fetch_prompt) << "fetch waited for the heal";
+  EXPECT_EQ(fetched.get().code(), ErrorCode::kUnavailable);
+  EXPECT_TRUE(verify_prompt) << "verify waited for the heal";
+  EXPECT_EQ(verified.get().code(), ErrorCode::kUnavailable);
+
+  ASSERT_TRUE(engine->drain().is_ok());  // the heal lands, writes replay
+  Bytes a(kBs), b(kBs);
+  for (Lba lba = 0; lba < kBlocks; ++lba) {
+    ASSERT_TRUE(primary->read(lba, a).is_ok());
+    ASSERT_TRUE(replica_disk->read(lba, b).is_ok());
+    ASSERT_EQ(a, b) << "lba " << lba;
+  }
+  EXPECT_EQ(engine->metrics().reconnects, 1u);
+  engine.reset();
+  listener->close();
+  server.join();
+}
+
+TEST(EngineTest, RequestsInAFailedRoundFailWithoutWaitingForTheHeal) {
+  // The replica hears nothing (every frame is dropped) and the reconnect
+  // factory is down.  Fetch A is in the round, a write and fetch B wait
+  // in the outbox behind it.  When the retries run out the link degrades:
+  // both fetches fail then, while the write is held and replays once the
+  // factory recovers.
+  InprocNetwork network;
+  auto replica_disk = std::make_shared<MemDisk>(kBlocks, kBs);
+  auto replica = std::make_shared<ReplicaEngine>(replica_disk);
+  auto listener_or = network.listen("replica");
+  ASSERT_TRUE(listener_or.is_ok());
+  auto listener = std::shared_ptr<Listener>(std::move(*listener_or));
+  std::thread server = replica_serve_in_background(replica, listener);
+
+  auto factory_up = std::make_shared<std::atomic<bool>>(false);
+  EngineConfig config;
+  config.policy = ReplicationPolicy::kPrins;
+  config.keep_trap_log = true;
+  config.pipeline_depth = 1;
+  config.retry.max_attempts = 2;
+  config.retry.base_backoff = std::chrono::milliseconds(1);
+  config.retry.max_backoff = std::chrono::milliseconds(5);
+  config.retry.op_timeout = std::chrono::milliseconds(20);
+  config.reconnect = [&network, factory_up](
+                         std::size_t) -> Result<std::unique_ptr<Transport>> {
+    if (!factory_up->load()) return unavailable("reconnect endpoint down");
+    return network.connect("replica");
+  };
+  auto primary = std::make_shared<MemDisk>(kBlocks, kBs);
+  auto engine = std::make_unique<PrinsEngine>(primary, config);
+  FaultyTransport* silent = nullptr;
+  {
+    auto raw = network.connect("replica");
+    ASSERT_TRUE(raw.is_ok());
+    FaultConfig faults;
+    faults.drop_p = 1.0;
+    auto link = std::make_unique<FaultyTransport>(std::move(*raw), faults);
+    silent = link.get();
+    engine->add_replica(std::move(link));
+  }
+
+  auto fetch = [&] {
+    return std::async(std::launch::async, [&] {
+      Bytes out(kBs);
+      return engine->fetch_block_from_replica(2, out);
+    });
+  };
+  auto first = fetch();
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (silent->stats().sent == 0 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_GT(silent->stats().sent, 0u) << "fetch A never went out";
+  ASSERT_TRUE(engine->write(5, random_block(2000)).is_ok());
+  auto second = fetch();
+
+  const bool prompt =
+      first.wait_for(std::chrono::seconds(10)) == std::future_status::ready &&
+      second.wait_for(std::chrono::seconds(10)) == std::future_status::ready;
+  factory_up->store(true);  // so a call that does wait ends with the heal
+  EXPECT_TRUE(prompt) << "a fetch waited for the heal";
+  EXPECT_EQ(first.get().code(), ErrorCode::kTimeout);
+  EXPECT_FALSE(second.get().is_ok());
+
+  ASSERT_TRUE(engine->drain().is_ok());  // the held write replays
+  Bytes a(kBs), b(kBs);
+  for (Lba lba = 0; lba < kBlocks; ++lba) {
+    ASSERT_TRUE(primary->read(lba, a).is_ok());
+    ASSERT_TRUE(replica_disk->read(lba, b).is_ok());
+    ASSERT_EQ(a, b) << "lba " << lba;
+  }
+  EXPECT_EQ(engine->metrics().acks, 1u);  // the write; no fetch is counted
+  engine.reset();
+  listener->close();
+  server.join();
+}
+
+TEST(EngineTest, HealBacksOffAReplicaThatHangsUpOnEveryReconnect) {
+  // The first kHangups reconnects reach a peer that hangs up at once; the
+  // next reaches a real replica.  The replayed round is what finds each
+  // dead peer, and every such heal must count as a failed attempt, so the
+  // reconnects back off exponentially instead of spinning.
+  constexpr int kHangups = 3;
+  constexpr auto kBase = std::chrono::milliseconds(20);
+  constexpr double kMultiplier = 2.0;
+  InprocNetwork network;
+  auto replica_disk = std::make_shared<MemDisk>(kBlocks, kBs);
+  auto replica = std::make_shared<ReplicaEngine>(replica_disk);
+  auto listener_or = network.listen("replica");
+  ASSERT_TRUE(listener_or.is_ok());
+  auto listener = std::shared_ptr<Listener>(std::move(*listener_or));
+  std::thread server = replica_serve_in_background(replica, listener);
+
+  std::mutex times_mutex;
+  std::vector<std::chrono::steady_clock::time_point> reconnected_at;
+  EngineConfig config;
+  config.policy = ReplicationPolicy::kPrins;
+  config.keep_trap_log = true;
+  config.retry.base_backoff = kBase;
+  config.retry.multiplier = kMultiplier;
+  config.retry.max_backoff = std::chrono::seconds(5);
+  config.retry.op_timeout = std::chrono::milliseconds(500);
+  config.reconnect = [&](std::size_t) -> Result<std::unique_ptr<Transport>> {
+    std::size_t attempt = 0;
+    {
+      std::lock_guard lock(times_mutex);
+      reconnected_at.push_back(std::chrono::steady_clock::now());
+      attempt = reconnected_at.size();
+    }
+    if (attempt > static_cast<std::size_t>(kHangups)) {
+      return network.connect("replica");
+    }
+    auto [ours, theirs] = make_inproc_pair();
+    theirs->close();  // accepts, then hangs up at once
+    return std::move(ours);
+  };
+  auto primary = std::make_shared<MemDisk>(kBlocks, kBs);
+  auto engine = std::make_unique<PrinsEngine>(primary, config);
+  {
+    auto raw = network.connect("replica");
+    ASSERT_TRUE(raw.is_ok());
+    FaultConfig faults;
+    faults.disconnect_after = 10;
+    engine->add_replica(
+        std::make_unique<FaultyTransport>(std::move(*raw), faults));
+  }
+  for (Lba lba = 0; lba < 30; ++lba) {
+    ASSERT_TRUE(engine->write(lba, random_block(1900 + lba)).is_ok());
+  }
+  ASSERT_TRUE(engine->drain().is_ok());
+
+  Bytes a(kBs), b(kBs);
+  for (Lba lba = 0; lba < kBlocks; ++lba) {
+    ASSERT_TRUE(primary->read(lba, a).is_ok());
+    ASSERT_TRUE(replica_disk->read(lba, b).is_ok());
+    ASSERT_EQ(a, b) << "lba " << lba;
+  }
+  EXPECT_EQ(engine->metrics().reconnects,
+            static_cast<std::uint64_t>(kHangups + 1));
+  engine.reset();  // no heal thread touches reconnected_at any more
+  listener->close();
+  server.join();
+
+  ASSERT_EQ(reconnected_at.size(), static_cast<std::size_t>(kHangups + 1));
+  // Heal i waits at least 0.75 * base * multiplier^(i-1) (the backoff less
+  // its jitter) after hangup i; scheduling can only add to that.
+  double floor_ms = 0.0;
+  for (int i = 1; i <= kHangups; ++i) {
+    floor_ms += 0.75 * static_cast<double>(kBase.count()) *
+                std::pow(kMultiplier, i - 1);
+  }
+  const std::chrono::duration<double, std::milli> span =
+      reconnected_at.back() - reconnected_at.front();
+  EXPECT_GE(span.count(), floor_ms);
 }
 
 TEST(ReplicaEngineTest, RejectsReplyKindMessages) {

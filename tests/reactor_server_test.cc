@@ -814,10 +814,10 @@ TEST(ReactorSenderTest, ReattachSwapsBlockingAndReactorLinksUnderLiveWrites) {
 
 TEST(ReactorSenderTest, HealsAfterHardConnectionCut) {
   // A cut degrades the link and keeps its open round; the self-heal
-  // reconnects through the factory, sends kHello and resumes the link,
-  // which replays the round's un-acked entries (replica dedup absorbs the
-  // ones that already landed).  Writes queued during the outage follow on
-  // the fresh transport.
+  // reconnects through the factory and resumes the link, which replays
+  // the round's un-acked entries (replica dedup absorbs the ones that
+  // already landed).  Writes queued during the outage follow on the fresh
+  // transport.
   constexpr std::uint32_t kBs = 1024;
   constexpr std::uint64_t kBlocks = 64;
   auto replica_disk = std::make_shared<MemDisk>(kBlocks, kBs);
@@ -879,10 +879,10 @@ TEST(ReactorSenderTest, HealsAfterHardConnectionCut) {
   server.join();
 }
 
-TEST(ReactorSenderTest, VerifyAndRepairParksTheSenderExclusively) {
-  // Operator paths (verify/repair) do blocking send/recv exchanges on the
-  // link: with reactor senders they must park the state machine, own the
-  // transport, and hand it back — after which normal replication resumes.
+TEST(ReactorSenderTest, VerifyAndRepairRidesTheRoundMachine) {
+  // Operator paths (verify/repair) send their requests through the link's
+  // round machine, over real TCP to a reactor-served replica, and match
+  // the replies by sequence; replication carries on on the same link.
   constexpr std::uint32_t kBs = 1024;
   constexpr std::uint64_t kBlocks = 32;
   ReplicaConfig rconfig;
@@ -924,7 +924,7 @@ TEST(ReactorSenderTest, VerifyAndRepairParksTheSenderExclusively) {
   ASSERT_TRUE(repaired.is_ok()) << repaired.status().to_string();
   EXPECT_EQ(*repaired, 2u);
 
-  // The sender machine is re-armed: replication still works.
+  // The link carries writes again: replication still works.
   for (int i = 0; i < 50; ++i) {
     rng.fill(block);
     ASSERT_TRUE(engine->write(rng.next_below(kBlocks), block).is_ok());

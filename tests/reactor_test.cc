@@ -420,9 +420,9 @@ TEST(ReactorTcpTest, ConcurrentReceiversOnOneConnectionEachGetAMessage) {
 }
 
 TEST(ReactorTcpTest, HandlerInstalledAfterBlockingRecvGetsLaterFrames) {
-  // A hello on the blocking API, then the loop takes over: the engine's
-  // pattern.  Later frames reach the handler, on the loop thread, even
-  // though a receiver is parked on the socket when the handler goes in.
+  // A hello on the blocking API, then the loop takes over.  Later frames
+  // reach the handler, on the loop thread, even though a receiver is
+  // parked on the socket when the handler goes in.
   auto pool = ReactorPool::create(1);
   ASSERT_TRUE(pool.is_ok());
   auto listener = ReactorListener::listen(*pool, 0);

@@ -323,14 +323,6 @@ TEST(WritePipelineTest, ShardCountResolvesToConfiguredPowerOfTwo) {
   EXPECT_EQ(engine.write_shard_count(), 8u);
 }
 
-TEST(WritePipelineTest, ShardCountReadsEnvWhenUnset) {
-  ::setenv("PRINS_WRITE_SHARDS", "3", 1);
-  EngineConfig config;  // write_shards = 0 -> env -> 3 -> rounds to 4
-  PrinsEngine engine(std::make_shared<MemDisk>(kBlocks, kBs), config);
-  ::unsetenv("PRINS_WRITE_SHARDS");
-  EXPECT_EQ(engine.write_shard_count(), 4u);
-}
-
 TEST(WritePipelineTest, OneGlobalLockPerReplicatedWrite) {
   EngineConfig config;
   config.policy = ReplicationPolicy::kPrinsRle;
